@@ -86,8 +86,9 @@ func (e *DeoptError) Unwrap() error { return e.Cause }
 func (e *DeoptError) Is(target error) bool { return target == ErrDeopt }
 
 // Engine is one block-compiled core. Create with New; it mirrors the
-// construction and reset contract of cpu.New over the same program so the
-// session layer can substitute one for the other per job.
+// construction and reset contract of the pipeline (gang.New at one lane)
+// over the same program so the session layer can substitute one for the
+// other per job.
 type Engine struct {
 	prog *asm.Program
 	spec isa.PipelineSpec
@@ -111,7 +112,7 @@ type Engine struct {
 }
 
 // New builds a block engine with the program loaded: text predecoded, data
-// image copied into memory, SP/GP initialised exactly as cpu.New does. A
+// image copied into memory, SP/GP initialised exactly as cpu.Lane.Init does. A
 // non-nil energy config enables static (data-independent) energy
 // accumulation, reported by StaticPJ after each completed run. New fails for
 // targets that do not declare the five-stage pipeline geometry; callers

@@ -10,24 +10,34 @@ import (
 	"desmask/internal/block"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
+	"desmask/internal/gang"
 	"desmask/internal/isa"
 	"desmask/internal/mem"
 )
 
-// cosim runs one program on the cycle-accurate core (with the energy meter
-// attached) and on the block engine, under the same budget, and demands
+// newCore returns a one-lane run of the cycle-accurate pipeline over p.
+func newCore(t *testing.T, p *asm.Program) *gang.Engine {
+	t.Helper()
+	c, err := gang.New(p, energy.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Reset(1); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// cosim runs one program on the cycle-accurate pipeline (with the energy
+// meter on) and on the block engine, under the same budget, and demands
 // either bit-identical completion — Stats, registers, data memory — or a
 // deopt exactly when the cycle-accurate run fails. Returns whether the block
 // engine completed.
 func cosim(t *testing.T, p *asm.Program, budget uint64) bool {
 	t.Helper()
-	c, err := cpu.New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := energy.DefaultConfig()
-	meter := energy.NewProbeFor(cfg, p.TargetOrDefault())
-	c.Attach(meter)
+	c := newCore(t, p)
+	meter := c.EnableMeter()
 	e, err := block.New(p, mem.New(), &cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,12 +63,12 @@ func cosim(t *testing.T, p *asm.Program, budget uint64) bool {
 		t.Errorf("stats diverge: cycle %+v, block %+v", cs, bs)
 	}
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if c.Reg(r) != e.Reg(r) {
-			t.Errorf("register %v: cycle %#x, block %#x", r, c.Reg(r), e.Reg(r))
+		if c.Lane(0).Regs[r] != e.Reg(r) {
+			t.Errorf("register %v: cycle %#x, block %#x", r, c.Lane(0).Regs[r], e.Reg(r))
 		}
 	}
 	for a := p.DataBase; a < p.DataEnd(); a += 4 {
-		cv, _ := c.Mem().LoadWord(a)
+		cv, _ := c.Lane(0).Mem.LoadWord(a)
 		bv, _ := e.Mem().LoadWord(a)
 		if cv != bv {
 			t.Errorf("mem[%#x]: cycle %#x, block %#x", a, cv, bv)
@@ -278,16 +288,13 @@ loop:	addiu $t0, $t0, -1
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cpu.New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCore(t, p)
 	if err := c.Run(1000); err != nil {
 		t.Fatal(err)
 	}
 	total := c.Stats().Cycles
 	for budget := uint64(1); budget <= total+3; budget++ {
-		cc, _ := cpu.New(p, mem.New())
+		cc := newCore(t, p)
 		cerr := cc.Run(budget)
 		e, err := block.New(p, mem.New(), nil)
 		if err != nil {

@@ -5,22 +5,39 @@ import (
 	"strings"
 	"testing"
 
+	"desmask/internal/asm"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
+	"desmask/internal/gang"
 	"desmask/internal/mem"
 )
 
-// runProgram compiles src, pokes globals, runs to halt and returns the CPU.
-func runProgram(t *testing.T, src string, policy Policy, poke map[string]uint32) (*Result, *cpu.CPU) {
+// core is a one-lane run of the pipeline (internal/gang): the scalar view
+// these tests drive.
+type core struct{ *gang.Engine }
+
+func (c core) Mem() *mem.Memory { return c.Lane(0).Mem }
+
+func newCore(t *testing.T, p *asm.Program) core {
+	t.Helper()
+	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reset(1); err != nil {
+		t.Fatal(err)
+	}
+	return core{e}
+}
+
+// runProgram compiles src, pokes globals, runs to halt and returns the core.
+func runProgram(t *testing.T, src string, policy Policy, poke map[string]uint32) (*Result, core) {
 	t.Helper()
 	res, err := Compile(src, policy)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	c, err := cpu.New(res.Program, mem.New())
-	if err != nil {
-		t.Fatalf("cpu: %v", err)
-	}
+	c := newCore(t, res.Program)
 	for name, v := range poke {
 		addr, ok := res.Program.Symbols[GlobalLabel(name)]
 		if !ok {
@@ -37,7 +54,7 @@ func runProgram(t *testing.T, src string, policy Policy, poke map[string]uint32)
 }
 
 // global reads a global scalar or array element after the run.
-func global(t *testing.T, res *Result, c *cpu.CPU, name string, idx int) uint32 {
+func global(t *testing.T, res *Result, c core, name string, idx int) uint32 {
 	t.Helper()
 	addr, ok := res.Program.Symbols[GlobalLabel(name)]
 	if !ok {
@@ -464,16 +481,12 @@ func tracesOf(t *testing.T, src string, policy Policy, a, b uint32) ([]float64, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cpu.New(res.Program, mem.New())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCore(t, res.Program)
 		addr := res.Program.Symbols[GlobalLabel("key")]
 		if err := c.Mem().StoreWord(addr, secret); err != nil {
 			t.Fatal(err)
 		}
-		meter := energy.NewProbe(energy.DefaultConfig())
-		c.Attach(meter)
+		meter := c.EnableMeter()
 		var totals []float64
 		c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) { totals = append(totals, meter.Last().Total) }))
 		if err := c.Run(5_000_000); err != nil {
@@ -549,16 +562,12 @@ func TestEnergyOrderingAcrossPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cpu.New(res.Program, mem.New())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCore(t, res.Program)
 		addr := res.Program.Symbols[GlobalLabel("key")]
 		if err := c.Mem().StoreWord(addr, 0x123); err != nil {
 			t.Fatal(err)
 		}
-		meter := energy.NewProbe(energy.DefaultConfig())
-		c.Attach(meter)
+		meter := c.EnableMeter()
 		if err := c.Run(5_000_000); err != nil {
 			t.Fatal(err)
 		}

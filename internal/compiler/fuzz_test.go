@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"desmask/internal/cpu"
-	"desmask/internal/energy"
 	"desmask/internal/mem"
 	"desmask/internal/minic"
 )
@@ -92,10 +91,7 @@ func runFuzz(t *testing.T, src string, policy Policy, secret []uint32) []uint32 
 	if err != nil {
 		t.Fatalf("compile(%v): %v\n%s", policy, err, src)
 	}
-	c, err := cpu.New(res.Program, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCore(t, res.Program)
 	keyAddr := res.Program.Symbols[GlobalLabel("key")]
 	for i, v := range secret {
 		if err := c.Mem().StoreWord(keyAddr+uint32(4*i), v); err != nil {
@@ -183,18 +179,14 @@ func TestFuzzSelectiveMasks(t *testing.T) {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
 		collect := func(secret uint32) []float64 {
-			c, err := cpu.New(res.Program, mem.New())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newCore(t, res.Program)
 			keyAddr := res.Program.Symbols[GlobalLabel("key")]
 			for i := 0; i < 4; i++ {
 				if err := c.Mem().StoreWord(keyAddr+uint32(4*i), secret^uint32(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			meter := energy.NewProbe(energy.DefaultConfig())
-			c.Attach(meter)
+			meter := c.EnableMeter()
 			var totals []float64
 			c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) { totals = append(totals, meter.Last().Total) }))
 			if err := c.Run(2_000_000); err != nil {

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"desmask/internal/cpu"
-	"desmask/internal/energy"
-	"desmask/internal/mem"
 	"desmask/internal/minic"
 )
 
@@ -38,10 +36,7 @@ func TestConstantFolding(t *testing.T) {
 	}
 	// Results must match.
 	run := func(res *Result) []uint32 {
-		c, err := cpu.New(res.Program, mem.New())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCore(t, res.Program)
 		if err := c.Run(100000); err != nil {
 			t.Fatal(err)
 		}
@@ -126,15 +121,11 @@ func TestOptimizedMaskingStillFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := func(secret uint32) []float64 {
-		c, err := cpu.New(res.Program, mem.New())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCore(t, res.Program)
 		if err := c.Mem().StoreWord(res.Program.Symbols[GlobalLabel("key")], secret); err != nil {
 			t.Fatal(err)
 		}
-		meter := energy.NewProbe(energy.DefaultConfig())
-		c.Attach(meter)
+		meter := c.EnableMeter()
 		var totals []float64
 		c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) { totals = append(totals, meter.Last().Total) }))
 		if err := c.Run(5_000_000); err != nil {
@@ -176,10 +167,7 @@ func TestEvalBinOpCoverage(t *testing.T) {
 // runFuzzCompiled executes an already-compiled fuzz program.
 func runFuzzCompiled(t *testing.T, res *Result, secret []uint32) []uint32 {
 	t.Helper()
-	c, err := cpu.New(res.Program, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCore(t, res.Program)
 	keyAddr := res.Program.Symbols[GlobalLabel("key")]
 	for i, v := range secret {
 		if err := c.Mem().StoreWord(keyAddr+uint32(4*i), v); err != nil {

@@ -1,4 +1,4 @@
-package cpu
+package cpu_test
 
 import (
 	"errors"
@@ -6,20 +6,18 @@ import (
 	"testing"
 
 	"desmask/internal/asm"
+	"desmask/internal/cpu"
 	"desmask/internal/isa"
 	"desmask/internal/mem"
 )
 
-// cosim runs the same program on the pipelined CPU and the golden-model
+// cosim runs the same program on the pipeline and the golden-model
 // RefModel and compares retired-instruction counts, final register files and
 // a region of memory.
 func cosim(t *testing.T, p *asm.Program, poke map[uint32]uint32, memCheck []uint32) {
 	t.Helper()
-	c, err := New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRef(p, mem.New())
+	c := newCore(t, p)
+	r, err := cpu.NewRef(p, mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +236,14 @@ func TestCosimRandomPrograms(t *testing.T) {
 }
 
 func TestRefModelErrors(t *testing.T) {
-	if _, err := NewRef(&asm.Program{}, mem.New()); err == nil {
+	if _, err := cpu.NewRef(&asm.Program{}, mem.New()); err == nil {
 		t.Error("empty program accepted")
 	}
 	p, err := asm.Assemble("main: nop\nnop\n") // runs off the end
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRef(p, mem.New())
+	r, err := cpu.NewRef(p, mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +251,12 @@ func TestRefModelErrors(t *testing.T) {
 		t.Error("expected ref fetch fault")
 	}
 	p2, _ := asm.Assemble("main: j main\nhalt\n")
-	r2, _ := NewRef(p2, mem.New())
-	if err := r2.Run(50); !errors.Is(err, ErrCycleLimit) {
-		t.Errorf("err = %v, want ErrCycleLimit", err)
+	r2, _ := cpu.NewRef(p2, mem.New())
+	if err := r2.Run(50); !errors.Is(err, cpu.ErrCycleLimit) {
+		t.Errorf("err = %v, want cpu.ErrCycleLimit", err)
 	}
 	p3, _ := asm.Assemble("main: halt\n")
-	r3, _ := NewRef(p3, mem.New())
+	r3, _ := cpu.NewRef(p3, mem.New())
 	if err := r3.Run(10); err != nil {
 		t.Fatal(err)
 	}

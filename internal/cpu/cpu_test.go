@@ -1,28 +1,50 @@
-package cpu
+package cpu_test
 
 import (
 	"errors"
 	"testing"
 
 	"desmask/internal/asm"
+	"desmask/internal/cpu"
+	"desmask/internal/energy"
+	"desmask/internal/gang"
 	"desmask/internal/isa"
 	"desmask/internal/mem"
 )
 
-func build(t *testing.T, src string) *CPU {
+// core is a one-lane run of the pipeline (internal/gang): the scalar view
+// the core's tests drive.
+type core struct {
+	*gang.Engine
+	prog *asm.Program
+}
+
+func (c core) Reg(r isa.Reg) uint32 { return c.Lane(0).Regs[r] }
+
+func (c core) Mem() *mem.Memory { return c.Lane(0).Mem }
+
+func newCore(t *testing.T, p *asm.Program) core {
+	t.Helper()
+	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatalf("new core: %v", err)
+	}
+	if err := e.Reset(1); err != nil {
+		t.Fatal(err)
+	}
+	return core{e, p}
+}
+
+func build(t *testing.T, src string) core {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	c, err := New(p, mem.New())
-	if err != nil {
-		t.Fatalf("new cpu: %v", err)
-	}
-	return c
+	return newCore(t, p)
 }
 
-func run(t *testing.T, c *CPU) {
+func run(t *testing.T, c core) {
 	t.Helper()
 	if err := c.Run(1_000_000); err != nil {
 		t.Fatalf("run: %v", err)
@@ -251,20 +273,21 @@ main:	li   $t0, 3
 	if got := c.Reg(isa.T0); got != 4 {
 		t.Errorf("t0 = %d, want 4 (older instructions must retire)", got)
 	}
-	if err := c.Step(); err == nil {
-		t.Error("stepping a halted core should fail")
+	cycles := c.Stats().Cycles
+	if err := c.Run(1_000_000); err != nil || c.Stats().Cycles != cycles {
+		t.Errorf("a halted core advanced: err=%v cycles %d -> %d", err, cycles, c.Stats().Cycles)
 	}
 }
 
 func TestMaxCycles(t *testing.T) {
 	c := build(t, "main: j main\nhalt\n")
 	err := c.Run(100)
-	if !errors.Is(err, ErrCycleLimit) {
-		t.Errorf("err = %v, want ErrCycleLimit", err)
+	if !errors.Is(err, cpu.ErrCycleLimit) {
+		t.Errorf("err = %v, want cpu.ErrCycleLimit", err)
 	}
-	var cle *CycleLimitError
+	var cle *cpu.CycleLimitError
 	if !errors.As(err, &cle) || cle.Limit != 100 {
-		t.Errorf("err = %#v, want *CycleLimitError with Limit=100", err)
+		t.Errorf("err = %#v, want *cpu.CycleLimitError with Limit=100", err)
 	}
 }
 
@@ -329,12 +352,6 @@ main:	la    $t1, v
 	}
 }
 
-// pcRecorder collects the PC of every micro-op that reaches EX.
-type pcRecorder struct{ seen map[uint32]bool }
-
-func (r *pcRecorder) OnCycle(CycleInfo)  {}
-func (r *pcRecorder) OnExec(e ExecEvent) { r.seen[e.U.PC] = true }
-
 func TestStatsAccumulation(t *testing.T) {
 	c := build(t, `
 main:	li   $t0, 2
@@ -342,7 +359,7 @@ main:	li   $t0, 2
 		halt
 	`)
 	var cycles uint64
-	c.Attach(ProbeFunc(func(CycleInfo) { cycles++ }))
+	c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) { cycles++ }))
 	run(t, c)
 	st := c.Stats()
 	if st.Insts != 3 {
@@ -359,12 +376,16 @@ main:	li   $t0, 1
 		addu $t1, $t0, $t0
 		halt
 	`)
-	rec := &pcRecorder{seen: map[uint32]bool{}}
-	c.Attach(rec)
+	seen := map[uint32]bool{}
+	c.Attach(cpu.ProbeFunc(func(ci cpu.CycleInfo) {
+		if ci.U != nil {
+			seen[ci.U.PC] = true
+		}
+	}))
 	run(t, c)
 	for i := 0; i < 3; i++ {
 		pc := c.prog.TextBase + uint32(4*i)
-		if !rec.seen[pc] {
+		if !seen[pc] {
 			t.Errorf("pc %#x never reported in EX", pc)
 		}
 	}
@@ -372,7 +393,7 @@ main:	li   $t0, 1
 
 func TestEmptyProgramRejected(t *testing.T) {
 	p := &asm.Program{}
-	if _, err := New(p, mem.New()); err == nil {
+	if _, err := gang.New(p, energy.DefaultConfig(), 1); err == nil {
 		t.Error("empty program accepted")
 	}
 }

@@ -1,7 +1,5 @@
-// Masking invariants of the secure ISA, checked through the energy probe.
-// This file lives in the external test package because the energy meter
-// imports cpu (probes observe the core, not the other way around), so the
-// internal test package cannot import it back.
+// Masking invariants of the secure ISA, checked through the energy meter of
+// a one-lane pipeline run.
 package cpu_test
 
 import (
@@ -9,24 +7,15 @@ import (
 	"strings"
 	"testing"
 
-	"desmask/internal/asm"
 	"desmask/internal/cpu"
-	"desmask/internal/energy"
-	"desmask/internal/mem"
 )
 
-// traceTotals runs a program with an attached energy meter and returns the
-// per-cycle energy totals.
+// traceTotals runs a program with the energy meter on and returns the
+// per-cycle energy totals, as a probe reads them after each commit.
 func traceTotals(t *testing.T, src string, poke map[string]uint32) []float64 {
 	t.Helper()
-	p, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cpu.New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := build(t, src)
+	p := c.prog
 	for sym, v := range poke {
 		addr, ok := p.Symbols[sym]
 		if !ok {
@@ -36,8 +25,7 @@ func traceTotals(t *testing.T, src string, poke map[string]uint32) []float64 {
 			t.Fatal(err)
 		}
 	}
-	meter := energy.NewProbe(energy.DefaultConfig())
-	c.Attach(meter)
+	meter := c.EnableMeter()
 	var totals []float64
 	c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) { totals = append(totals, meter.Last().Total) }))
 	if err := c.Run(100000); err != nil {
@@ -121,20 +109,12 @@ func TestSecureCostsMore(t *testing.T) {
 // running total equals the sum of per-cycle totals, the per-component
 // breakdown sums to the total, and peak/cycle counters are consistent.
 func TestEnergyProbeAccumulation(t *testing.T) {
-	p, err := asm.Assemble(`
+	c := build(t, `
 main:	li   $t0, 2
 		addu $t1, $t0, $t0
 		halt
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cpu.New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meter := energy.NewProbe(energy.DefaultConfig())
-	c.Attach(meter)
+	meter := c.EnableMeter()
 	var sum, peak float64
 	c.Attach(cpu.ProbeFunc(func(cpu.CycleInfo) {
 		last := meter.Last().Total
@@ -247,38 +227,38 @@ loop:	slw   $t0, 0($t9)
 	}
 }
 
-// TestStepLoopZeroAllocs pins the predecode refactor's allocation guarantee:
-// once a core is constructed and its probes attached, the steady-state step
-// loop — including a live energy meter observing every stage — performs zero
-// heap allocations per cycle.
+// TestStepLoopZeroAllocs pins the allocation guarantee of the pipeline
+// step: once a core is constructed, a whole one-lane run — reset, the step
+// loop with the energy meter committing every cycle and a probe attached,
+// to halt — performs zero heap allocations.
 func TestStepLoopZeroAllocs(t *testing.T) {
-	p, err := asm.Assemble(`
+	c := build(t, `
 		.text
-main:	addu  $t0, $t0, $t1
+main:	li    $t3, 200
+loop:	addu  $t0, $t0, $t1
 		xor   $t2, $t2, $t0
-		j     main
+		addiu $t3, $t3, -1
+		bgtz  $t3, loop
+		halt
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cpu.New(p, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meter := energy.NewProbe(energy.DefaultConfig())
-	c.Attach(meter)
-	// Warm past the pipeline fill so every stage is busy.
-	for i := 0; i < 16; i++ {
-		if err := c.Step(); err != nil {
+	var cycles uint64
+	probe := cpu.ProbeFunc(func(cpu.CycleInfo) { cycles++ })
+	run := func() {
+		if err := c.Reset(1); err != nil {
+			t.Fatal(err)
+		}
+		c.EnableMeter()
+		c.Attach(probe)
+		if err := c.Run(100000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	run()
+	allocs := testing.AllocsPerRun(100, run)
 	if allocs != 0 {
-		t.Errorf("steady-state step loop allocates %.1f per cycle, want 0", allocs)
+		t.Errorf("steady-state run allocates %.1f times, want 0", allocs)
+	}
+	if cycles < 1000 {
+		t.Errorf("probe saw %d cycles, want a long loop", cycles)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // data-independent for a fixed program path and therefore shareable across
 // instances executing in lockstep.
 //
-// The pipelined CPU embeds one Lane; the gang engine (internal/gang) steps N
-// of them through a single shared control computation per cycle.
+// The pipeline (internal/gang) steps one Lane for a scalar run, or N of them
+// through a single shared control computation per cycle.
 type Lane struct {
 	// Regs is the architectural register file.
 	Regs [isa.NumRegs]uint32
@@ -23,7 +23,7 @@ type Lane struct {
 	Mem *mem.Memory
 
 	// Data halves of the pipeline latches. The control halves (which latch
-	// is valid and which micro-op it holds) live with the owner, because
+	// is valid and which micro-op it holds) live with the pipeline, because
 	// they are identical across lockstepped lanes.
 	IDA, IDB uint32 // ID/EX operands as read in ID (pre-forwarding)
 	EXOut    uint32 // EX/MEM ALU result (or memory address)
@@ -31,9 +31,8 @@ type Lane struct {
 	WBVal    uint32 // MEM/WB value headed to the register file
 }
 
-// Init loads the program's data image and initialises the registers exactly
-// as a fresh core does: SP at the top of a 4 KiB stack above the data
-// segment, GP at the data base.
+// Init loads the program's data image and initialises the registers: SP at
+// the top of a 4 KiB stack above the data segment, GP at the data base.
 func (l *Lane) Init(p *asm.Program) error {
 	if err := l.Mem.LoadImage(p.DataBase, p.Data); err != nil {
 		return err
@@ -51,46 +50,4 @@ func (l *Lane) Reset(p *asm.Program) error {
 	l.Regs = [isa.NumRegs]uint32{}
 	l.IDA, l.IDB, l.EXOut, l.EXStore, l.WBVal = 0, 0, 0, 0, 0
 	return l.Init(p)
-}
-
-// LoadUseHazard reports whether the EX-stage occupant eu forces the ID-stage
-// occupant u to stall one cycle: eu is a load whose destination feeds one of
-// u's register operands, and the loaded value is only available after MEM.
-// Shared by the pipelined core and the gang engine so the stall geometry can
-// never drift between them.
-func LoadUseHazard(eu, u *isa.UOp) bool {
-	return eu.Load && eu.Dest != isa.Zero &&
-		(eu.Dest == u.SrcA || (u.BReg && eu.Dest == u.SrcB))
-}
-
-// ForwardOperands resolves the EX-stage operand values of u against the
-// EX/MEM occupant (exm, producing exmOut) and the MEM/WB occupant (mwb,
-// producing mwbVal); a nil occupant is a bubble. MEM/WB forwards first so
-// the younger EX/MEM result can override it; EX/MEM never forwards a load
-// (load-use pairs are separated by the ID stall). Predecoded operand routing
-// makes this uniform: A forwards when SrcA is a real register, B only when
-// the micro-op reads B from the register file. Shared by the pipelined core
-// and the gang engine.
-func ForwardOperands(u *isa.UOp, a, b uint32, exm *isa.UOp, exmOut uint32, mwb *isa.UOp, mwbVal uint32) (uint32, uint32) {
-	if mwb != nil {
-		if d := mwb.Dest; d != isa.Zero {
-			if d == u.SrcA {
-				a = mwbVal
-			}
-			if u.BReg && d == u.SrcB {
-				b = mwbVal
-			}
-		}
-	}
-	if exm != nil {
-		if d := exm.Dest; d != isa.Zero && !exm.Load {
-			if d == u.SrcA {
-				a = exmOut
-			}
-			if u.BReg && d == u.SrcB {
-				b = exmOut
-			}
-		}
-	}
-	return a, b
 }

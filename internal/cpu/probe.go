@@ -9,60 +9,14 @@ type CycleInfo struct {
 	U     *isa.UOp
 }
 
-// FetchEvent fires when IF drives an instruction word onto the fetch bus.
-type FetchEvent struct {
-	Cycle uint64
-	PC    uint32
-	Word  uint32
-}
-
-// IssueEvent fires when ID decodes a micro-op and reads the register file.
-// A and B are the operand values as read in ID, before forwarding.
-type IssueEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	A, B  uint32
-}
-
-// ExecEvent fires when EX evaluates a micro-op. A and B are the operand
-// values after forwarding — the values the datapath actually switches on.
-// Because a control redirect squashes only the ID and IF stages, every
-// micro-op that reaches EX also retires: ExecEvents correspond one-to-one
-// with architectural execution.
-type ExecEvent struct {
-	Cycle  uint64
-	U      *isa.UOp
-	A, B   uint32
-	Result uint32
-	Taken  bool
-	Target uint32
-}
-
-// MemEvent fires when MEM performs a data-memory access. Data is the loaded
-// value for loads and the stored value for stores.
-type MemEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	Addr  uint32
-	Data  uint32
-}
-
-// WritebackEvent fires when WB retires a micro-op. Value is the writeback
-// bus value (driven even when the micro-op has no destination register).
-type WritebackEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	Value uint32
-}
-
-// Probe observes the pipeline. Every probe receives OnCycle once per
-// committed cycle; probes that additionally implement one of the stage
-// observer interfaces below receive those events as the stages fire.
+// Probe observes the pipeline once per committed cycle, after the energy
+// meter has committed that cycle, so a probe reads the cycle's energy from
+// the meter (energy.Probe.LastPJ).
 //
 // Probes are observation-only: they must not mutate architectural state
-// (registers, memory, PC) or influence simulation outcomes. The CPU hands
-// probes pointers into its internal micro-op table for efficiency; treat
-// them as read-only. Probes fire synchronously in attachment order.
+// (registers, memory, PC) or influence simulation outcomes. CycleInfo.U
+// points into the pipeline's micro-op table; treat it as read-only. Probes
+// fire synchronously in attachment order.
 type Probe interface {
 	OnCycle(CycleInfo)
 }
@@ -72,65 +26,3 @@ type ProbeFunc func(CycleInfo)
 
 // OnCycle implements Probe.
 func (f ProbeFunc) OnCycle(c CycleInfo) { f(c) }
-
-// FetchObserver receives IF-stage events.
-type FetchObserver interface {
-	OnFetch(FetchEvent)
-}
-
-// IssueObserver receives ID-stage events.
-type IssueObserver interface {
-	OnIssue(IssueEvent)
-}
-
-// ExecObserver receives EX-stage events.
-type ExecObserver interface {
-	OnExec(ExecEvent)
-}
-
-// MemObserver receives MEM-stage events.
-type MemObserver interface {
-	OnMem(MemEvent)
-}
-
-// WritebackObserver receives WB-stage events.
-type WritebackObserver interface {
-	OnWriteback(WritebackEvent)
-}
-
-// Attach registers a probe. The probe's stage interfaces are discovered once
-// here by type assertion, so the per-cycle loop dispatches through dense
-// slices with no dynamic checks. Probes fire in attachment order; attach the
-// energy meter first if later probes read it within the same cycle.
-// A nil probe is ignored.
-func (c *CPU) Attach(p Probe) {
-	if p == nil {
-		return
-	}
-	c.probes = append(c.probes, p)
-	if o, ok := p.(FetchObserver); ok {
-		c.fetchObs = append(c.fetchObs, o)
-	}
-	if o, ok := p.(IssueObserver); ok {
-		c.issueObs = append(c.issueObs, o)
-	}
-	if o, ok := p.(ExecObserver); ok {
-		c.execObs = append(c.execObs, o)
-	}
-	if o, ok := p.(MemObserver); ok {
-		c.memObs = append(c.memObs, o)
-	}
-	if o, ok := p.(WritebackObserver); ok {
-		c.wbObs = append(c.wbObs, o)
-	}
-}
-
-// ClearProbes detaches all probes.
-func (c *CPU) ClearProbes() {
-	c.probes = c.probes[:0]
-	c.fetchObs = c.fetchObs[:0]
-	c.issueObs = c.issueObs[:0]
-	c.execObs = c.execObs[:0]
-	c.memObs = c.memObs[:0]
-	c.wbObs = c.wbObs[:0]
-}

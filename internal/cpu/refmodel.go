@@ -11,7 +11,7 @@ import (
 
 // RefModel is a functional, one-instruction-at-a-time golden model of the
 // ISA with no pipeline. It executes the same predecoded micro-op table with
-// the same EX-stage semantics (ExecUOp) as the pipelined CPU, so
+// the same EX-stage semantics (ExecUOp) as the pipeline (internal/gang), so
 // co-simulating the two validates exactly the machinery that can go wrong in
 // the pipeline: operand bypassing, load-use stalls, control-flow flushes, and
 // writeback ordering.
@@ -27,7 +27,7 @@ type RefModel struct {
 }
 
 // NewRef builds a reference model with the program's data image loaded and
-// the same initial register state the pipelined CPU uses.
+// the same initial register state the pipeline uses (Lane.Init).
 func NewRef(p *asm.Program, m *mem.Memory) (*RefModel, error) {
 	if len(p.Text) == 0 {
 		return nil, errors.New("cpu: empty program")

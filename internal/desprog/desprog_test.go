@@ -9,6 +9,8 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/cpu"
 	"desmask/internal/des"
+	"desmask/internal/energy"
+	"desmask/internal/gang"
 	"desmask/internal/mem"
 	"desmask/internal/minic"
 	"desmask/internal/trace"
@@ -397,34 +399,35 @@ func TestDecryptMaskedFlat(t *testing.T) {
 }
 
 // TestCosimAgainstGoldenModel runs the full compiled DES program on both the
-// pipelined CPU and the unpipelined golden model and requires identical
+// pipeline (one lane) and the unpipelined golden model and requires identical
 // architectural results — the strongest end-to-end check of the pipeline's
 // hazard machinery.
 func TestCosimAgainstGoldenModel(t *testing.T) {
 	m := mach(t, compiler.PolicyNone)
 	prog := m.Res.Program
 
-	pipe, err := cpu.New(prog, mem.New())
+	pipe, err := gang.New(prog, energy.DefaultConfig(), 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Reset(1); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := cpu.NewRef(prog, mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pokeBits := func(c interface {
-		Mem() *mem.Memory
-	}, sym string, v uint64) {
+	pokeBits := func(m *mem.Memory, sym string, v uint64) {
 		addr := prog.Symbols[compiler.GlobalLabel(sym)]
 		for i := 0; i < 64; i++ {
-			if err := c.Mem().StoreWord(addr+uint32(4*i), uint32(v>>(63-i)&1)); err != nil {
+			if err := m.StoreWord(addr+uint32(4*i), uint32(v>>(63-i)&1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, c := range []interface{ Mem() *mem.Memory }{pipe, ref} {
-		pokeBits(c, "key", testKey)
-		pokeBits(c, "plaintext", testPlain)
+	for _, m := range []*mem.Memory{pipe.Lane(0).Mem, ref.Mem()} {
+		pokeBits(m, "key", testKey)
+		pokeBits(m, "plaintext", testPlain)
 	}
 	if err := pipe.Run(MaxCycles); err != nil {
 		t.Fatal(err)
@@ -437,7 +440,7 @@ func TestCosimAgainstGoldenModel(t *testing.T) {
 	}
 	cAddr := prog.Symbols[compiler.GlobalLabel("cipher")]
 	for i := 0; i < 64; i++ {
-		pv, _ := pipe.Mem().LoadWord(cAddr + uint32(4*i))
+		pv, _ := pipe.Lane(0).Mem.LoadWord(cAddr + uint32(4*i))
 		rv, _ := ref.Mem().LoadWord(cAddr + uint32(4*i))
 		if pv != rv {
 			t.Fatalf("cipher bit %d: pipeline %d, golden model %d", i, pv, rv)

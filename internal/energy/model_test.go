@@ -8,19 +8,45 @@ import (
 	"testing/quick"
 )
 
-// runCycle runs one full set of datapath events and returns the cycle energy.
-func runCycle(m *Model, a, b, r, addr, data uint32, secure bool) CycleEnergy {
+// newModel returns a one-lane meter: the scalar view of the energy model.
+func newModel(cfg Config) *VecMeter {
+	v := NewVecMeter(cfg, 1)
+	v.Reset(1)
+	return v
+}
+
+// runCycle runs one full set of datapath events through a one-lane meter,
+// in stage order, and returns the cycle energy.
+func runCycle(m *VecMeter, a, b, r, addr, data uint32, secure bool) CycleEnergy {
 	m.BeginCycle()
-	m.Fetch(0x12345678)
+	m.RegWrite()
+	m.MemArray()
 	m.Decode()
 	m.RegRead(2)
-	m.OperandLatch(a, b, secure)
-	m.ALUOp(a, b, r, false, secure)
-	m.Result(r, secure)
-	m.MemAccess(addr, data, secure)
-	m.Writeback(data, secure)
-	m.RegWrite()
-	return m.EndCycle()
+	m.Fetch(0x12345678)
+	m.EndShared()
+	ev := LaneEvents{
+		WB: true, WBSecure: secure, WBVal: data,
+		Mem: true, MemSecure: secure, MemAddr: addr, MemData: data,
+		EX: true, EXSecure: secure, EXScale: 1, A: a, B: b, R: r,
+	}
+	m.LaneCycle(0, &ev)
+	var e CycleEnergy
+	m.EndCycleInto(0, &e)
+	return e
+}
+
+// aluCycle runs a cycle whose only datapath event is the ALU (or XOR unit)
+// driven with the given operands, skipping buses and latches, and returns
+// the ALU component.
+func aluCycle(m *VecMeter, a, b, r uint32, isXor, secure bool) float64 {
+	m.BeginCycle()
+	m.EndShared()
+	ev := LaneEvents{EX: true, EXSecure: secure, EXXor: isXor, EXScale: 1, A: a, B: b, R: r}
+	m.LaneCycle(0, &ev)
+	var e CycleEnergy
+	m.EndCycleInto(0, &e)
+	return e.By[CompALU]
 }
 
 func TestSecureCycleEnergyIsDataIndependent(t *testing.T) {
@@ -29,7 +55,7 @@ func TestSecureCycleEnergyIsDataIndependent(t *testing.T) {
 	// cycle; its cost must be one constant regardless of both the history
 	// and the secure operands.
 	measure := func(a, b, r, addr, data uint32) float64 {
-		m := NewModel(DefaultConfig())
+		m := newModel(DefaultConfig())
 		runCycle(m, rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(), false)
 		return runCycle(m, a, b, r, addr, data, true).Total
 	}
@@ -43,8 +69,8 @@ func TestSecureCycleEnergyIsDataIndependent(t *testing.T) {
 }
 
 func TestInsecureCycleEnergyIsDataDependent(t *testing.T) {
-	m1 := NewModel(DefaultConfig())
-	m2 := NewModel(DefaultConfig())
+	m1 := newModel(DefaultConfig())
+	m2 := newModel(DefaultConfig())
 	e1 := runCycle(m1, 0, 0, 0, 0, 0, false)
 	e2 := runCycle(m2, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, false)
 	if math.Abs(e1.Total-e2.Total) < 1e-9 {
@@ -59,7 +85,7 @@ func TestPrechargeIsolatesSubsequentCycles(t *testing.T) {
 	// An insecure transfer after a secure one must not depend on the secure
 	// value — the bus was left precharged.
 	mk := func(secret uint32) float64 {
-		m := NewModel(DefaultConfig())
+		m := newModel(DefaultConfig())
 		runCycle(m, secret, secret, secret, secret, secret, true)
 		return runCycle(m, 0xa5a5a5a5, 0x5a5a5a5a, 3, 0x40, 9, false).Total
 	}
@@ -70,14 +96,14 @@ func TestPrechargeIsolatesSubsequentCycles(t *testing.T) {
 
 func TestSecureCostsMoreThanAverageInsecure(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := NewModel(DefaultConfig())
+	m := newModel(DefaultConfig())
 	var insecure float64
 	const n = 2000
 	for i := 0; i < n; i++ {
 		insecure += runCycle(m, rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32(), false).Total
 	}
 	insecure /= n
-	secure := runCycle(NewModel(DefaultConfig()), 1, 2, 3, 4, 5, true).Total
+	secure := runCycle(newModel(DefaultConfig()), 1, 2, 3, 4, 5, true).Total
 	if secure <= insecure {
 		t.Errorf("secure cycle (%.1f pJ) should exceed average insecure cycle (%.1f pJ)", secure, insecure)
 	}
@@ -90,7 +116,7 @@ func TestAblationNoPrechargeLeaks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DualRailPrecharge = false
 	mk := func(v uint32) float64 {
-		m := NewModel(cfg)
+		m := newModel(cfg)
 		runCycle(m, 0, 0, 0, 0, 0, false) // fixed history
 		return runCycle(m, v, v, v, v, v, true).Total
 	}
@@ -103,8 +129,8 @@ func TestAblationNoGatingDoublesInsecure(t *testing.T) {
 	gated := DefaultConfig()
 	ungated := DefaultConfig()
 	ungated.ClockGating = false
-	eg := runCycle(NewModel(gated), 0xffff0000, 0x00ffff00, 0xf0f0f0f0, 0x44, 0x99, false)
-	eu := runCycle(NewModel(ungated), 0xffff0000, 0x00ffff00, 0xf0f0f0f0, 0x44, 0x99, false)
+	eg := runCycle(newModel(gated), 0xffff0000, 0x00ffff00, 0xf0f0f0f0, 0x44, 0x99, false)
+	eu := runCycle(newModel(ungated), 0xffff0000, 0x00ffff00, 0xf0f0f0f0, 0x44, 0x99, false)
 	if eg.By[CompComplementary] != 0 {
 		t.Errorf("gated insecure cycle charged complementary rail: %.3f pJ", eg.By[CompComplementary])
 	}
@@ -120,7 +146,7 @@ func TestCouplingLeaksThroughDualRail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InterWireCoupling = true
 	mk := func(v uint32) float64 {
-		m := NewModel(cfg)
+		m := newModel(cfg)
 		return runCycle(m, v, v, v, v, v, true).Total
 	}
 	// 0x55555555 maximises adjacent-bit differences; 0 minimises them.
@@ -129,7 +155,7 @@ func TestCouplingLeaksThroughDualRail(t *testing.T) {
 	}
 	// Without the ablation flag, the same pair is indistinguishable.
 	mk2 := func(v uint32) float64 {
-		m := NewModel(DefaultConfig())
+		m := newModel(DefaultConfig())
 		return runCycle(m, v, v, v, v, v, true).Total
 	}
 	if a, b := mk2(0), mk2(0x55555555); math.Abs(a-b) > 1e-9 {
@@ -139,24 +165,18 @@ func TestCouplingLeaksThroughDualRail(t *testing.T) {
 
 func TestXorUnitPaperConstants(t *testing.T) {
 	p := DefaultParams()
-	// Secure XOR: 0.6 pJ constant.
-	m := NewModel(DefaultConfig())
-	m.BeginCycle()
-	m.ALUOp(0x1234, 0x5678, 0x1234^0x5678, true, true)
-	e := m.EndCycle()
-	if got := e.By[CompALU] + e.By[CompComplementary]; math.Abs(got-p.XorUnitPJ) > 1e-9 {
-		t.Errorf("secure XOR = %.3f pJ, want %.3f", got, p.XorUnitPJ)
+	// Secure XOR: 0.6 pJ constant, half on each rail.
+	if got := aluCycle(newModel(DefaultConfig()), 0x1234, 0x5678, 0x1234^0x5678, true, true); math.Abs(2*got-p.XorUnitPJ) > 1e-9 {
+		t.Errorf("secure XOR = %.3f pJ, want %.3f", 2*got, p.XorUnitPJ)
 	}
 	// Normal XOR averages ~0.3 pJ over random data.
-	m = NewModel(DefaultConfig())
+	m := newModel(DefaultConfig())
 	rng := rand.New(rand.NewSource(3))
 	var sum float64
 	const n = 5000
 	for i := 0; i < n; i++ {
 		a, b := rng.Uint32(), rng.Uint32()
-		m.BeginCycle()
-		m.ALUOp(a, b, a^b, true, false)
-		sum += m.EndCycle().Total - DefaultParams().ClockPJ
+		sum += aluCycle(m, a, b, a^b, true, false)
 	}
 	avg := sum / n
 	if avg < 0.25 || avg > 0.35 {
@@ -165,9 +185,12 @@ func TestXorUnitPaperConstants(t *testing.T) {
 }
 
 func TestBubbleCycleOnlyClock(t *testing.T) {
-	m := NewModel(DefaultConfig())
+	m := newModel(DefaultConfig())
 	m.BeginCycle()
-	e := m.EndCycle()
+	m.EndShared()
+	var e CycleEnergy
+	m.LaneCycle(0, &LaneEvents{})
+	m.EndCycleInto(0, &e)
 	if math.Abs(e.Total-DefaultParams().ClockPJ) > 1e-9 {
 		t.Errorf("empty cycle = %.3f pJ, want clock-only %.3f", e.Total, DefaultParams().ClockPJ)
 	}
@@ -210,7 +233,7 @@ func TestComponentNames(t *testing.T) {
 
 func TestTotalsEqualComponentSums(t *testing.T) {
 	f := func(a, b, r, addr, data uint32, secure bool) bool {
-		m := NewModel(DefaultConfig())
+		m := newModel(DefaultConfig())
 		e := runCycle(m, a, b, r, addr, data, secure)
 		var sum float64
 		for _, v := range e.By {
@@ -234,7 +257,7 @@ func TestConfigMatrix(t *testing.T) {
 				cfg := Config{Params: DefaultParams(),
 					DualRailPrecharge: precharge, ClockGating: gating, InterWireCoupling: coupling}
 				mk := func(v uint32) float64 {
-					m := NewModel(cfg)
+					m := newModel(cfg)
 					runCycle(m, 0, 0, 0, 0, 0, false)
 					return runCycle(m, v, v, v, v, v, true).Total
 				}

@@ -1,65 +1,30 @@
 package energy
 
-import (
-	"desmask/internal/cpu"
-	"desmask/internal/isa"
-)
-
-// Probe is the energy meter: a cpu.Probe that drives the transition-sensitive
-// Model from the pipeline's per-stage events and accumulates per-cycle and
-// whole-run totals. It observes every stage (fetch, issue, exec, mem,
-// writeback) and closes the model's accounting window at each cycle commit.
-//
-// Attach the meter before any probe that reads it (trace recorders, peak
-// trackers): probes fire in attachment order, so readers then see the
-// just-committed cycle via Last().
-//
-// Moving energy accounting out of the core is exact, not approximate: every
-// Model rail is touched at most once per clock cycle, so per-cycle totals are
-// independent of the order events are reported within the cycle, and rail
-// history across cycles depends only on which events fire in which cycle —
-// both preserved by the probe protocol.
+// Probe accumulates the committed cycles of one VecMeter lane: the last
+// cycle's energy, the run total and the peak cycle. The pipeline
+// (internal/gang) commits every metered cycle before it calls any cpu.Probe,
+// so probes read the cycle just committed through Last or LastPJ. The zero
+// value is an empty accumulator.
 type Probe struct {
-	model  *Model
-	scale  [isa.NumExecClasses]float64 // per-ExecClass base-ALU-energy scale
 	last   CycleEnergy
 	total  CycleEnergy
 	peak   float64
 	cycles uint64
 }
 
-// NewProbe returns an energy meter over a fresh Model with the given
-// configuration, ready to observe cycle 0, using the default (PISA)
-// coefficient of 1 for every operation class.
-func NewProbe(cfg Config) *Probe {
-	return NewProbeFor(cfg, nil)
-}
+// Reset clears the accumulator for a fresh run.
+func (p *Probe) Reset() { *p = Probe{} }
 
-// NewProbeFor returns an energy meter whose per-op ALU coefficients come
-// from the given ISA backend's ALUOpScale table. A nil target means the
-// PISA scale (all ones), which meters bit-identically to NewProbe.
-func NewProbeFor(cfg Config, target isa.Target) *Probe {
-	p := &Probe{model: NewModel(cfg)}
-	if target == nil {
-		target = isa.PISA
+// Commit folds the lane's most recently metered cycle of v into the
+// accumulator.
+func (p *Probe) Commit(v *VecMeter, lane int) {
+	v.EndCycleInto(lane, &p.last)
+	p.total.AddFrom(&p.last)
+	if p.last.Total > p.peak {
+		p.peak = p.last.Total
 	}
-	p.scale = target.ALUOpScale()
-	p.model.BeginCycle()
-	return p
+	p.cycles++
 }
-
-// Reset clears the meter and the model's rail history so the next run is
-// bit-identical to a fresh probe.
-func (p *Probe) Reset() {
-	p.model.Reset()
-	p.last, p.total = CycleEnergy{}, CycleEnergy{}
-	p.peak = 0
-	p.cycles = 0
-	p.model.BeginCycle()
-}
-
-// Config returns the model configuration.
-func (p *Probe) Config() Config { return p.model.Config() }
 
 // Last returns the energy of the most recently committed cycle.
 func (p *Probe) Last() CycleEnergy { return p.last }
@@ -79,46 +44,3 @@ func (p *Probe) PeakPJ() float64 { return p.peak }
 
 // Cycles returns the number of committed cycles observed.
 func (p *Probe) Cycles() uint64 { return p.cycles }
-
-// OnFetch implements cpu.FetchObserver.
-func (p *Probe) OnFetch(e cpu.FetchEvent) {
-	p.model.Fetch(e.Word)
-}
-
-// OnIssue implements cpu.IssueObserver.
-func (p *Probe) OnIssue(e cpu.IssueEvent) {
-	p.model.Decode()
-	p.model.RegRead(int(e.U.NSrc))
-}
-
-// OnExec implements cpu.ExecObserver.
-func (p *Probe) OnExec(e cpu.ExecEvent) {
-	p.model.OperandLatch(e.A, e.B, e.U.Secure)
-	p.model.ALUOpScaled(p.scale[e.U.Class], e.A, e.B, e.Result, e.U.XorUnit, e.U.Secure)
-	p.model.Result(e.Result, e.U.Secure)
-}
-
-// OnMem implements cpu.MemObserver.
-func (p *Probe) OnMem(e cpu.MemEvent) {
-	p.model.MemAccess(e.Addr, e.Data, e.U.Secure)
-}
-
-// OnWriteback implements cpu.WritebackObserver.
-func (p *Probe) OnWriteback(e cpu.WritebackEvent) {
-	p.model.Writeback(e.Value, e.U.Secure)
-	if e.U.Dest != isa.Zero {
-		p.model.RegWrite()
-	}
-}
-
-// OnCycle implements cpu.Probe: it closes the model's accounting window for
-// the committed cycle and opens the next one.
-func (p *Probe) OnCycle(cpu.CycleInfo) {
-	p.model.EndCycleInto(&p.last)
-	p.total.AddFrom(&p.last)
-	if p.last.Total > p.peak {
-		p.peak = p.last.Total
-	}
-	p.cycles++
-	p.model.BeginCycle()
-}

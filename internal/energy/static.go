@@ -3,7 +3,7 @@ package energy
 import "desmask/internal/isa"
 
 // Static (data-independent) energy accounting for the block-compiled engine
-// (internal/block). The transition-sensitive Model charges two kinds of
+// (internal/block). The transition-sensitive VecMeter charges two kinds of
 // energy: constants that every execution of a micro-op pays regardless of
 // operand values (array accesses, decode, register-file ports, ALU base cost,
 // and — under dual-rail precharging — the secure datapath's constant-activity
@@ -23,7 +23,7 @@ import "desmask/internal/isa"
 // railFullSwingPJ is the constant energy of one precharged dual-rail
 // transfer: exactly half of the 64 normal+complementary lines discharge each
 // evaluate phase (16 per rail half), independent of the value driven. This is
-// rail.transfer's secure/precharge arm, summed over both components.
+// vecRail's secure/precharge arm, summed over both components.
 func railFullSwingPJ(linePJ float64) float64 { return 32 * linePJ }
 
 // StaticUOpPJ returns the data-independent energy charged for one executed

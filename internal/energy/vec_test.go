@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -50,33 +51,107 @@ func randCycles(rng *rand.Rand, width, n int) []vecCycle {
 	return cycles
 }
 
-// driveScalar plays one lane's view of a cycle into a scalar Model in the
+// refModel is a test-only oracle: the straightforward scalar accounting
+// the VecMeter's split shared/per-lane arithmetic must reproduce to the bit.
+// Every charge is added to its component in stage order and the total is
+// the component sum in index order.
+type refModel struct {
+	cfg                                   Config
+	by                                    [NumComponents]float64
+	fetch, opA, opB, res, mA, mD          uint32
+	lA, lB, lR, lW, aluA, aluB, aluR, xor uint32
+}
+
+func (m *refModel) rail(prev *uint32, v uint32, secure bool, linePJ float64, c Component) {
+	var n, comp float64
+	switch {
+	case secure && m.cfg.DualRailPrecharge:
+		*prev = prechargeValue
+		n, comp = 16*linePJ, 16*linePJ
+	default:
+		n = float64(bits.OnesCount32(*prev^v)) * linePJ
+		*prev = v
+		if secure || !m.cfg.ClockGating {
+			comp = n
+		}
+	}
+	m.by[c] += n
+	m.by[CompComplementary] += comp
+	if m.cfg.InterWireCoupling {
+		m.by[c] += coupling(v, m.cfg.Params.CouplingPJ)
+	}
+}
+
+func (m *refModel) alu(scale float64, a, b, r uint32, isXor, secure bool) {
+	p := m.cfg.Params
+	var e float64
+	switch {
+	case isXor && secure && m.cfg.DualRailPrecharge:
+		m.by[CompALU] += p.XorUnitPJ / 2
+		m.by[CompComplementary] += p.XorUnitPJ / 2
+		m.xor = prechargeValue
+		return
+	case isXor:
+		e = float64(bits.OnesCount32(m.xor^r)) / 32 * p.XorUnitPJ
+		m.xor = r
+	case secure && m.cfg.DualRailPrecharge:
+		c := 2*p.AluOpPJ*scale + 96*p.ALUTogglePJ
+		m.by[CompALU] += c / 2
+		m.by[CompComplementary] += c / 2
+		m.aluA, m.aluB, m.aluR = prechargeValue, prechargeValue, prechargeValue
+		return
+	default:
+		t := bits.OnesCount32(m.aluA^a) + bits.OnesCount32(m.aluB^b) + bits.OnesCount32(m.aluR^r)
+		m.aluA, m.aluB, m.aluR = a, b, r
+		e = p.AluOpPJ*scale + float64(t)*p.ALUTogglePJ
+	}
+	m.by[CompALU] += e
+	if secure || !m.cfg.ClockGating {
+		m.by[CompComplementary] += e
+	}
+}
+
+// driveScalar plays one lane's view of a cycle into the oracle in the
 // pipeline's stage order (WB, MEM, EX, ID, IF) and returns the cycle energy.
-func driveScalar(m *Model, c *vecCycle, lane int) CycleEnergy {
+func driveScalar(m *refModel, c *vecCycle, lane int) CycleEnergy {
 	d := &c.data[lane]
-	m.BeginCycle()
+	p := m.cfg.Params
+	m.by = [NumComponents]float64{}
+	m.by[CompClock] += p.ClockPJ
 	if c.ev.WB {
-		m.Writeback(d.WBVal, c.ev.WBSecure)
+		m.rail(&m.lW, d.WBVal, c.ev.WBSecure, p.LatchBitPJ, CompPipeReg)
 		if c.regWrite {
-			m.RegWrite()
+			m.by[CompRegFile] += p.RegWritePJ
 		}
 	}
 	if c.ev.Mem {
-		m.MemAccess(d.MemAddr, d.MemData, c.ev.MemSecure)
+		m.rail(&m.mA, d.MemAddr, c.ev.MemSecure, p.MemAddrLinePJ, CompMemBus)
+		m.rail(&m.mD, d.MemData, c.ev.MemSecure, p.MemDataLinePJ, CompMemBus)
+		m.by[CompMemArray] += p.MemArrayPJ
 	}
 	if c.ev.EX {
-		m.OperandLatch(d.A, d.B, c.ev.EXSecure)
-		m.ALUOpScaled(c.ev.EXScale, d.A, d.B, d.R, c.ev.EXXor, c.ev.EXSecure)
-		m.Result(d.R, c.ev.EXSecure)
+		sec := c.ev.EXSecure
+		m.rail(&m.opA, d.A, sec, p.OpBusLinePJ, CompOpBus)
+		m.rail(&m.opB, d.B, sec, p.OpBusLinePJ, CompOpBus)
+		m.rail(&m.lA, d.A, sec, p.LatchBitPJ, CompPipeReg)
+		m.rail(&m.lB, d.B, sec, p.LatchBitPJ, CompPipeReg)
+		m.alu(c.ev.EXScale, d.A, d.B, d.R, c.ev.EXXor, sec)
+		m.rail(&m.res, d.R, sec, p.ResultBusLinePJ, CompResultBus)
+		m.rail(&m.lR, d.R, sec, p.LatchBitPJ, CompPipeReg)
 	}
 	if c.issue {
-		m.Decode()
-		m.RegRead(c.nSrc)
+		m.by[CompDecode] += p.DecodePJ
+		m.by[CompRegFile] += float64(c.nSrc) * p.RegReadPJ
 	}
 	if c.fetch {
-		m.Fetch(c.word)
+		m.by[CompFetch] += p.IFetchArrayPJ
+		m.rail(&m.fetch, c.word, false, p.FetchLinePJ, CompFetch)
 	}
-	return m.EndCycle()
+	e := CycleEnergy{By: m.by}
+	for _, v := range e.By {
+		e.Total += v
+	}
+	return e
 }
 
 // driveVecShared plays a cycle's shared control into the VecMeter, leaving it
@@ -115,7 +190,7 @@ func allConfigs() []Config {
 	return cfgs
 }
 
-// TestVecMeterMatchesScalarModel drives N scalar Models (one per lane) and
+// TestVecMeterMatchesScalarModel drives N scalar oracles (one per lane) and
 // one VecMeter through identical random event streams and requires the
 // per-cycle totals and every per-component value to be bit-identical, for
 // every Config ablation.
@@ -125,9 +200,9 @@ func TestVecMeterMatchesScalarModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + ci)))
 		cycles := randCycles(rng, width, nCycles)
 
-		scalars := make([]*Model, width)
+		scalars := make([]*refModel, width)
 		for l := range scalars {
-			scalars[l] = NewModel(cfg)
+			scalars[l] = &refModel{cfg: cfg}
 		}
 		vec := NewVecMeter(cfg, width)
 		vec.Reset(width)

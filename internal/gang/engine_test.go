@@ -9,9 +9,6 @@ import (
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
-	"desmask/internal/isa"
-	"desmask/internal/mem"
-	"desmask/internal/trace"
 )
 
 // mixKernel is a data-varying, control-uniform program: every lane loads its
@@ -44,41 +41,34 @@ loop:	xor.s $s2, $s0, $s1
 		halt
 `
 
-// winSampler captures the scalar meter's per-cycle totals inside a window —
-// the observation the gang's sample buffers must reproduce bit-for-bit.
-type winSampler struct {
-	meter      *energy.Probe
-	start, end uint64
-	buf        []float64
-}
-
-func (w *winSampler) OnCycle(ci cpu.CycleInfo) {
-	if ci.Cycle >= w.start && ci.Cycle < w.end {
-		w.buf = append(w.buf, w.meter.LastPJ())
-	}
-}
-
-// runScalar executes the program on the cycle-accurate core with input
-// poked at DataBase, metering every cycle and sampling [start, end).
-func runScalar(t *testing.T, p *asm.Program, input uint32, budget, start, end uint64) (*cpu.CPU, *winSampler, error) {
+// runScalar executes the program as a one-lane run with input poked at
+// DataBase, sampling [start, end): the reference every lane of a wider gang
+// must reproduce.
+func runScalar(t *testing.T, p *asm.Program, input uint32, budget, start, end uint64) (*gang.Engine, []float64, error) {
 	t.Helper()
-	c, err := cpu.New(p, mem.New())
+	e, err := gang.New(p, energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meter := energy.NewProbeFor(energy.DefaultConfig(), p.TargetOrDefault())
-	s := &winSampler{meter: meter, start: start, end: end}
-	c.Attach(meter)
-	c.Attach(s)
-	if err := c.Mem().StoreWord(p.DataBase, input); err != nil {
+	if err := e.Reset(1); err != nil {
 		t.Fatal(err)
 	}
-	return c, s, c.Run(budget)
+	buf := make([]float64, end-start)
+	e.SetSampleWindow(start, end)
+	e.SetLaneSampleBuf(0, buf)
+	if err := e.Lane(0).Mem.StoreWord(p.DataBase, input); err != nil {
+		t.Fatal(err)
+	}
+	err = e.Run(budget)
+	if n := e.Stats().Cycles; n < end {
+		buf = buf[:max(n, start)-start]
+	}
+	return e, buf, err
 }
 
-// gangCosim runs the program on a gang with per-lane inputs and on one
-// scalar core per lane, and demands every lockstep-completed lane be
-// bit-identical to its scalar run: registers, data memory, stats, and the
+// gangCosim runs the program on a gang with per-lane inputs and as one
+// one-lane run per lane, and demands every lockstep-completed lane be
+// bit-identical to its one-lane run: registers, data memory, stats, and the
 // windowed per-cycle energy samples.
 func gangCosim(t *testing.T, src string, inputs []uint32, budget, start, end uint64) *gang.Engine {
 	t.Helper()
@@ -111,26 +101,23 @@ func gangCosim(t *testing.T, src string, inputs []uint32, budget, start, end uin
 		if err := e.LaneErr(i); err != nil {
 			continue // deopted lanes are the scalar replay's problem
 		}
-		c, s, cerr := runScalar(t, p, inputs[i], budget, start, end)
-		if cerr != nil {
-			t.Fatalf("lane %d: gang completed but scalar failed: %v", i, cerr)
+		c, want, cerr := runScalar(t, p, inputs[i], budget, start, end)
+		if cerr != nil && !errors.Is(cerr, cpu.ErrCycleLimit) {
+			t.Fatalf("lane %d: gang completed but the one-lane run failed: %v", i, cerr)
 		}
 		if cs, gs := c.Stats(), e.Stats(); cs != gs {
 			t.Errorf("lane %d stats: scalar %+v, gang %+v", i, cs, gs)
 		}
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if c.Reg(r) != e.Lane(i).Regs[r] {
-				t.Errorf("lane %d reg %v: scalar %#x, gang %#x", i, r, c.Reg(r), e.Lane(i).Regs[r])
-			}
+		if c.Lane(0).Regs != e.Lane(i).Regs {
+			t.Errorf("lane %d regs: scalar %#x, gang %#x", i, c.Lane(0).Regs, e.Lane(i).Regs)
 		}
 		for a := p.DataBase; a < p.DataEnd(); a += 4 {
-			cv, _ := c.Mem().LoadWord(a)
+			cv, _ := c.Lane(0).Mem.LoadWord(a)
 			gv, _ := e.Lane(i).Mem.LoadWord(a)
 			if cv != gv {
 				t.Errorf("lane %d mem[%#x]: scalar %#x, gang %#x", i, a, cv, gv)
 			}
 		}
-		want := s.buf
 		got := bufs[i][:len(want)]
 		for j := range want {
 			if got[j] != want[j] {
@@ -183,25 +170,25 @@ func TestGangTraceBitIdentity(t *testing.T) {
 	}
 	e.Run(100000)
 
+	c, err := gang.New(p, energy.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, in := range inputs {
 		if err := e.LaneErr(i); err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		c, err := cpu.New(p, mem.New())
-		if err != nil {
+		if err := c.Reset(1); err != nil {
 			t.Fatal(err)
 		}
-		meter := energy.NewProbeFor(energy.DefaultConfig(), p.TargetOrDefault())
-		rec := &trace.Recorder{Meter: meter}
-		c.Attach(meter)
-		c.Attach(rec)
-		if err := c.Mem().StoreWord(p.DataBase, in); err != nil {
+		c.EnableTrace(0)
+		if err := c.Lane(0).Mem.StoreWord(p.DataBase, in); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Run(100000); err != nil {
 			t.Fatal(err)
 		}
-		gt, st := e.LaneTrace(i), &rec.T
+		gt, st := e.LaneTrace(i), c.LaneTrace(0)
 		if gt.Len() != st.Len() {
 			t.Fatalf("lane %d trace length: gang %d, scalar %d", i, gt.Len(), st.Len())
 		}
@@ -330,20 +317,25 @@ loop:	addiu $t0, $t0, -1
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cpu.New(p, mem.New())
+	cc, err := gang.New(p, energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1000); err != nil {
+	if err := cc.Reset(1); err != nil {
 		t.Fatal(err)
 	}
-	total := c.Stats().Cycles
+	if err := cc.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	total := cc.Stats().Cycles
 	e, err := gang.New(p, energy.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for budget := uint64(1); budget <= total+3; budget++ {
-		cc, _ := cpu.New(p, mem.New())
+		if err := cc.Reset(1); err != nil {
+			t.Fatal(err)
+		}
 		cerr := cc.Run(budget)
 		if cerr != nil && !errors.Is(cerr, cpu.ErrCycleLimit) {
 			t.Fatalf("budget %d: unexpected scalar error %v", budget, cerr)
@@ -351,7 +343,9 @@ loop:	addiu $t0, $t0, -1
 		if err := e.Reset(2); err != nil {
 			t.Fatal(err)
 		}
-		e.Run(budget)
+		if gerr := e.Run(budget); (gerr == nil) != (cerr == nil) {
+			t.Errorf("budget %d: gang err %v, one-lane err %v", budget, gerr, cerr)
+		}
 		for i := 0; i < 2; i++ {
 			if gerr := e.LaneErr(i); gerr != nil {
 				t.Errorf("budget %d lane %d: unexpected deopt %v", budget, i, gerr)
@@ -363,10 +357,8 @@ loop:	addiu $t0, $t0, -1
 		if cc.Stats() != e.Stats() {
 			t.Errorf("budget %d: stats diverge: %+v vs %+v", budget, cc.Stats(), e.Stats())
 		}
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if cc.Reg(r) != e.Lane(0).Regs[r] {
-				t.Errorf("budget %d reg %v: scalar %#x, gang %#x", budget, r, cc.Reg(r), e.Lane(0).Regs[r])
-			}
+		if cc.Lane(0).Regs != e.Lane(0).Regs {
+			t.Errorf("budget %d regs: scalar %#x, gang %#x", budget, cc.Lane(0).Regs, e.Lane(0).Regs)
 		}
 	}
 }

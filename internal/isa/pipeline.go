@@ -10,7 +10,7 @@ import "fmt"
 // (internal/block) per-target: a block's stall count, redirect penalty and
 // retire timing are derived from this spec, never from hard-coded numbers.
 //
-// The cycle-accurate core in internal/cpu implements exactly one geometry —
+// The cycle-accurate pipeline in internal/gang implements exactly one geometry —
 // the classic five-stage in-order IF/ID/EX/MEM/WB machine — and validates at
 // construction that the program's target declares it (FiveStage). A target
 // declaring any other geometry is rejected by the pipelined core and by the
@@ -43,7 +43,7 @@ type PipelineSpec struct {
 }
 
 // FiveStage is the classic in-order five-stage geometry implemented by the
-// cycle-accurate core in internal/cpu: branches resolve in EX with a
+// cycle-accurate pipeline in internal/gang: branches resolve in EX with a
 // two-slot flush, loads stall a dependent consumer one cycle, and every
 // instruction spends two cycles filling (IF, ID) and two draining (MEM, WB).
 var FiveStage = PipelineSpec{

@@ -1,8 +1,9 @@
 // Package leakcheck verifies the masking compiler's output independently of
-// the energy model: it executes a program on a functional ISA interpreter
-// with shadow taint — every register and memory word carries a "derived from
-// a secret" bit — and reports every instruction that processes a tainted
-// value without its secure bit set. A correctly masked program reports
+// the energy model: it executes a program's predecoded micro-ops one at a
+// time, with the pipeline's own EX semantics (cpu.ExecUOp), under shadow
+// taint — every register and memory word carries a "derived from a secret"
+// bit — and reports every instruction that processes a tainted value without
+// its secure bit set. A correctly masked program reports
 // leaks only at its declassification points (the output permutation);
 // anything else is a hole the dual-rail datapath would expose to DPA.
 //
@@ -17,6 +18,7 @@ import (
 	"sort"
 
 	"desmask/internal/asm"
+	"desmask/internal/cpu"
 	"desmask/internal/isa"
 	"desmask/internal/mem"
 	"desmask/internal/sim"
@@ -132,6 +134,7 @@ func RunBatch(jobs []CheckJob, workers int) ([]*Report, error) {
 // TaintWords, then Run.
 type Checker struct {
 	prog *asm.Program
+	uops []isa.UOp // predecoded text, index = (pc-TextBase)/4
 	mem  *mem.Memory
 	tmem map[uint32]bool // tainted memory words (by address)
 
@@ -146,7 +149,6 @@ type Checker struct {
 	wasted uint64
 
 	maxInsts uint64
-	luiShift uint // target's lui shift (15 on PISA, 12 on RV32)
 }
 
 // New builds a checker with the program image loaded.
@@ -154,18 +156,22 @@ func New(p *asm.Program) (*Checker, error) {
 	if len(p.Text) == 0 {
 		return nil, errors.New("leakcheck: empty program")
 	}
+	uops, err := isa.PredecodeProgramFor(p.TargetOrDefault(), p.Text, p.TextBase)
+	if err != nil {
+		return nil, fmt.Errorf("leakcheck: %w", err)
+	}
 	m := mem.New()
 	if err := m.LoadImage(p.DataBase, p.Data); err != nil {
 		return nil, err
 	}
 	c := &Checker{
 		prog:     p,
+		uops:     uops,
 		mem:      m,
 		tmem:     map[uint32]bool{},
 		pc:       p.Entry,
 		leaks:    map[uint32]*Leak{},
 		maxInsts: 50_000_000,
-		luiShift: p.TargetOrDefault().Limits().LuiShift,
 	}
 	c.regs[isa.SP] = p.DataEnd() + 4096
 	c.regs[isa.GP] = p.DataBase
@@ -215,170 +221,92 @@ func (c *Checker) Run() (*Report, error) {
 
 // record notes an instruction processing tainted data without protection, or
 // a secure instruction running on clean data.
-func (c *Checker) record(pc uint32, in isa.Inst, tainted bool) {
+func (c *Checker) record(u *isa.UOp, tainted bool) {
 	switch {
-	case tainted && !in.Secure:
-		l := c.leaks[pc]
+	case tainted && !u.Secure:
+		l := c.leaks[u.PC]
 		if l == nil {
-			l = &Leak{PC: pc, Inst: in}
-			c.leaks[pc] = l
+			l = &Leak{PC: u.PC, Inst: u.Inst}
+			c.leaks[u.PC] = l
 		}
 		l.Count++
-	case !tainted && in.Secure:
+	case !tainted && u.Secure:
 		c.wasted++
+	}
+}
+
+// write sets a destination register and its taint; $zero is never written,
+// so reads through it stay zero and clean.
+func (c *Checker) write(d isa.Reg, v uint32, tainted bool) {
+	if d != isa.Zero {
+		c.regs[d] = v
+		c.taint[d] = tainted
 	}
 }
 
 func (c *Checker) step() error {
 	idx := (c.pc - c.prog.TextBase) / 4
-	if c.pc < c.prog.TextBase || int(idx) >= len(c.prog.Text) || c.pc%4 != 0 {
+	if c.pc < c.prog.TextBase || int(idx) >= len(c.uops) || c.pc%4 != 0 {
 		return fmt.Errorf("leakcheck: fetch outside text at pc %#x", c.pc)
 	}
-	in := c.prog.Text[idx]
-	pc := c.pc
+	u := &c.uops[idx]
 	c.insts++
 
-	// Operand values and taint, mirroring the ID stage.
-	var a, b uint32
-	var ta, tb bool
-	switch in.Op.Format() {
-	case isa.FmtR:
-		a, b = c.regs[in.Rs], c.regs[in.Rt]
-		ta, tb = c.taint[in.Rs], c.taint[in.Rt]
-	case isa.FmtRShift:
-		a, b = c.regs[in.Rt], uint32(in.Imm)
-		ta = c.taint[in.Rt]
-	case isa.FmtRJump:
-		a = c.regs[in.Rs]
-		ta = c.taint[in.Rs]
-	case isa.FmtI:
-		a, b = c.regs[in.Rs], uint32(in.Imm)
-		ta = c.taint[in.Rs]
-	case isa.FmtILui:
-		b = uint32(in.Imm)
-	case isa.FmtIMem:
-		a = c.regs[in.Rs]
-		ta = c.taint[in.Rs]
-		if in.Op.IsStore() {
-			b = c.regs[in.Rt]
-			tb = c.taint[in.Rt]
-		}
-	case isa.FmtIBranch:
-		a, b = c.regs[in.Rs], c.regs[in.Rt]
-		ta, tb = c.taint[in.Rs], c.taint[in.Rt]
+	// Operand values and taint through the predecoded routing, as ID reads
+	// them.
+	a, b := c.regs[u.SrcA], u.BConst
+	ta, tb := c.taint[u.SrcA], false
+	if u.BReg {
+		b, tb = c.regs[u.SrcB], c.taint[u.SrcB]
+	}
+	res, target, taken, err := cpu.ExecUOp(u, a, b)
+	if err != nil {
+		return fmt.Errorf("leakcheck: %w", err)
 	}
 
-	next := pc + 4
-	var destVal uint32
-	destTaint := false
-	writeDest := false
-
 	switch {
-	case in.Op.IsLoad():
-		addr := a + uint32(in.Imm)
-		v, err := c.mem.LoadWord(addr)
+	case u.Load:
+		v, err := c.mem.LoadWord(res)
 		if err != nil {
-			return fmt.Errorf("leakcheck: pc %#x: %w", pc, err)
+			return fmt.Errorf("leakcheck: pc %#x: %w", u.PC, err)
 		}
 		// A load is sensitive when the loaded value is tainted OR the
 		// address derives from a secret (the secure-indexing condition).
-		c.record(pc, in, c.tmem[addr] || ta)
-		destVal, destTaint, writeDest = v, c.tmem[addr] || ta, true
-	case in.Op.IsStore():
-		addr := a + uint32(in.Imm)
-		if err := c.mem.StoreWord(addr, b); err != nil {
-			return fmt.Errorf("leakcheck: pc %#x: %w", pc, err)
+		t := c.tmem[res] || ta
+		c.record(u, t)
+		c.write(u.Dest, v, t)
+	case u.Store:
+		if err := c.mem.StoreWord(res, b); err != nil {
+			return fmt.Errorf("leakcheck: pc %#x: %w", u.PC, err)
 		}
-		c.record(pc, in, tb || ta)
-		if tb || ta {
-			c.tmem[addr] = true
+		t := ta || tb
+		c.record(u, t)
+		if t {
+			c.tmem[res] = true
 		} else {
-			delete(c.tmem, addr)
+			delete(c.tmem, res)
 		}
-	case in.Op.IsBranch():
+	case u.Inst.Op.IsBranch():
 		// Branches are never securable; a tainted condition is a control-
 		// flow leak the compiler warns about separately. Record it as a
 		// leak here too: timing *is* observable.
-		c.record(pc, in, ta || tb)
-		taken := false
-		switch in.Op {
-		case isa.OpBeq:
-			taken = a == b
-		case isa.OpBne:
-			taken = a != b
-		case isa.OpBlez:
-			taken = int32(a) <= 0
-		case isa.OpBgtz:
-			taken = int32(a) > 0
-		}
-		if taken {
-			next = pc + 4 + uint32(in.Imm)*4
-		}
-	case in.Op == isa.OpJ:
-		next = uint32(in.Imm) * 4
-	case in.Op == isa.OpJal:
-		destVal, destTaint, writeDest = pc+4, false, true
-		next = uint32(in.Imm) * 4
-	case in.Op == isa.OpJr:
-		c.record(pc, in, ta)
-		next = a
-	case in.Op == isa.OpHalt:
+		c.record(u, ta || tb)
+	case u.Class == isa.ClassJ:
+	case u.Class == isa.ClassJal:
+		c.write(u.Dest, res, false)
+	case u.Class == isa.ClassJr:
+		c.record(u, ta)
+	case u.Class == isa.ClassHalt:
 		c.halted = true
 	default:
-		// ALU operations.
-		res, err := c.aluResult(in, a, b)
-		if err != nil {
-			return fmt.Errorf("leakcheck: pc %#x: %w", pc, err)
-		}
-		c.record(pc, in, ta || tb)
-		destVal, destTaint, writeDest = res, ta || tb, true
+		// ALU operations (including lui).
+		c.record(u, ta || tb)
+		c.write(u.Dest, res, ta || tb)
 	}
 
-	if writeDest {
-		if d, ok := in.Dest(); ok {
-			c.regs[d] = destVal
-			c.taint[d] = destTaint
-		}
+	c.pc = u.PC + 4
+	if taken {
+		c.pc = target
 	}
-	c.pc = next
 	return nil
-}
-
-// aluResult mirrors the EX-stage semantics for datapath operations.
-func (c *Checker) aluResult(in isa.Inst, a, b uint32) (uint32, error) {
-	switch in.Op {
-	case isa.OpAddu, isa.OpAddiu:
-		return a + b, nil
-	case isa.OpSubu:
-		return a - b, nil
-	case isa.OpAnd, isa.OpAndi:
-		return a & b, nil
-	case isa.OpOr, isa.OpOri:
-		return a | b, nil
-	case isa.OpXor, isa.OpXori:
-		return a ^ b, nil
-	case isa.OpNor:
-		return ^(a | b), nil
-	case isa.OpSll, isa.OpSllv:
-		return a << (b & 31), nil
-	case isa.OpSrl, isa.OpSrlv:
-		return a >> (b & 31), nil
-	case isa.OpSra, isa.OpSrav:
-		return uint32(int32(a) >> (b & 31)), nil
-	case isa.OpSlt, isa.OpSlti:
-		if int32(a) < int32(b) {
-			return 1, nil
-		}
-		return 0, nil
-	case isa.OpSltu, isa.OpSltiu:
-		if a < b {
-			return 1, nil
-		}
-		return 0, nil
-	case isa.OpMul:
-		return a * b, nil
-	case isa.OpLui:
-		return b << c.luiShift, nil
-	}
-	return 0, fmt.Errorf("leakcheck: unimplemented opcode %v", in.Op)
 }

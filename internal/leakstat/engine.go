@@ -3,9 +3,8 @@ package leakstat
 import (
 	"context"
 	"fmt"
+	"sync"
 
-	"desmask/internal/cpu"
-	"desmask/internal/energy"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -39,10 +38,11 @@ type Config struct {
 	// Gang > 1 runs each shard's traces through the gang-scheduled lockstep
 	// engine in gangs of up to Gang lanes (sim.Options.GangWidth semantics):
 	// one shared control computation per cycle, per-lane energy sampling,
-	// and transparent scalar replay for any lane that diverges. The shard's
-	// accumulator sees the exact same per-trace sample stream in the exact
-	// same order either way, so the verdict is bit-identical for any Gang
-	// value — the knob only changes throughput. <= 1 keeps the scalar path.
+	// and transparent one-lane replay for any lane that diverges. The
+	// shard's accumulator sees the exact same per-trace sample stream in the
+	// exact same order either way, so the verdict is bit-identical for any
+	// Gang value — the knob only changes throughput. <= 1 runs every trace
+	// as a one-lane run.
 	Gang int
 	// Order selects the statistical order of the test: 1 (or 0, the
 	// default) is the first-order Welch t-test on the means; 2 is the
@@ -159,30 +159,11 @@ type ShardAccum struct {
 	Cycles uint64
 }
 
-// sampleProbe folds each committed cycle's energy inside the window into
-// the current target accumulator. It is rebound to the session worker's
-// meter via sim.PerRunMeterProbes on every run and reused sequentially
-// within a shard — never shared across in-flight jobs.
-type sampleProbe struct {
-	meter      *energy.Probe
-	vec        *Vec
-	start, end uint64
-	filled     int
-}
-
-func (p *sampleProbe) OnCycle(ci cpu.CycleInfo) {
-	if ci.Cycle < p.start || ci.Cycle >= p.end {
-		return
-	}
-	p.vec.Set(int(ci.Cycle-p.start), p.meter.LastPJ())
-	p.filled++
-}
-
 // Assess runs the one-pass fixed-vs-random Welch t-test over cfg.NumTraces
 // simulations drawn from src. Traces are never materialized: each run's
-// energy streams through a per-job probe into its shard's accumulator pair,
-// shards fan out across the worker pool, and the shard accumulators merge
-// in fixed index order — the determinism contract of PR 1 extended to
+// windowed energy samples fold into its shard's accumulator pair, shards
+// fan out across the worker pool, and the shard accumulators merge in fixed
+// index order — the determinism contract of PR 1 extended to
 // statistics: bit-identical verdicts for any worker count. Equivalent to
 // AssessContext with a background context.
 func Assess(src Source, cfg Config) (*Report, error) {
@@ -358,76 +339,36 @@ func (p *plan) runShard(ctx context.Context, src Source, s int) (*ShardAccum, er
 	}
 	acc := &ShardAccum{Shard: s, Fixed: NewVecOrder(p.L, p.order), Random: NewVecOrder(p.L, p.order)}
 	lo, hi := ShardRange(s, p.shards, p.cfg.NumTraces)
-	var err error
-	if p.cfg.Gang > 1 {
-		err = p.runGangShard(ctx, src, acc, lo, hi)
-	} else {
-		err = p.runScalarShard(ctx, src, acc, lo, hi)
-	}
-	if err != nil {
+	if err := p.runGangShard(ctx, src, acc, lo, hi); err != nil {
 		return nil, err
 	}
 	return acc, nil
 }
 
-// runScalarShard streams traces [lo, hi) one at a time through a per-run
-// meter probe straight into the shard's accumulators. The probe and its
-// one-element probe slice are allocated once per shard and reused for
-// every trace, so the steady state allocates nothing per trace beyond
-// the job itself.
-func (p *plan) runScalarShard(ctx context.Context, src Source, acc *ShardAccum, lo, hi int) error {
-	probe := &sampleProbe{start: uint64(p.win.Start), end: uint64(p.win.End)}
-	probes := []cpu.Probe{probe}
-	spec := sim.PerRunMeterProbes(func(m *energy.Probe) []cpu.Probe {
-		probe.meter = m
-		return probes
-	})
-	for i := lo; i < hi; i++ {
-		// Cancellation point: an in-flight simulation completes, but no
-		// further trace of this shard starts once the context is done.
-		// The shard's partial accumulators are dropped with the error.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		job, err := src.Job(i, p.fixed[i])
-		if err != nil {
-			return fmt.Errorf("leakstat: trace %d: %w", i, err)
-		}
-		job.Trace = false // reduced in-flight; never materialized
-		job.Probe = spec
-		if p.fixed[i] {
-			probe.vec = acc.Fixed
-		} else {
-			probe.vec = acc.Random
-		}
-		probe.vec.BeginTrace()
-		probe.filled = 0
-		res := src.Runner.Run(job)
-		if res.Err != nil {
-			return fmt.Errorf("leakstat: trace %d: %w", i, res.Err)
-		}
-		acc.Cycles += res.Stats.Cycles
-		if probe.filled != p.L {
-			return fmt.Errorf("leakstat: trace %d covered %d/%d window samples — run ended before Window.End=%d",
-				i, probe.filled, p.L, p.win.End)
-		}
-	}
-	return nil
-}
+// sampleBufs recycles the gang sample buffers across shards: a verdict runs
+// every shard over one window.
+var sampleBufs sync.Pool // *[]float64
 
-// runGangShard feeds the same trace range through the lockstep engine in
-// gangs of up to cfg.Gang lanes, then folds each lane's window samples
-// into the accumulators in trace-index order — the identical sequence of
-// Vec operations the scalar path performs, so the fold is bit-exact. The
-// sample buffers are allocated once per shard and reused across gangs.
+// runGangShard feeds the shard's trace range through the lockstep engine in
+// gangs of up to cfg.Gang lanes (one lane when Gang <= 1), then folds each
+// lane's window samples into the accumulators in trace-index order — the
+// same sequence of Vec operations for any gang width, so the fold is
+// bit-exact. Every sample is overwritten before it is folded (the coverage
+// check), so recycled buffers need no clearing.
 func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo, hi int) error {
-	width := p.cfg.Gang
+	width := max(p.cfg.Gang, 1)
 	if n := hi - lo; width > n {
 		width = n
 	}
+	flat, _ := sampleBufs.Get().(*[]float64)
+	if flat == nil || cap(*flat) < width*p.L {
+		s := make([]float64, width*p.L)
+		flat = &s
+	}
+	defer sampleBufs.Put(flat)
 	bufs := make([][]float64, width)
 	for g := range bufs {
-		bufs[g] = make([]float64, p.L)
+		bufs[g] = (*flat)[g*p.L : (g+1)*p.L]
 	}
 	jobs := make([]sim.Job, 0, width)
 	idx := make([]int, 0, width)
@@ -441,9 +382,9 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 			if err != nil {
 				return fmt.Errorf("leakstat: trace %d: %w", i, err)
 			}
-			// Gang-shape the job exactly as the scalar path does: the
-			// engine owns the observation, so source-provided trace or
-			// probe requests are overridden, never combined.
+			// Gang-shape the job: the engine owns the observation, so
+			// source-provided trace or probe requests are overridden,
+			// never combined.
 			job.Trace = false
 			job.Blocks = false
 			job.Probe = sim.ProbeSpec{}
@@ -458,8 +399,7 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 				return fmt.Errorf("leakstat: trace %d: %w", ti, res.Err)
 			}
 			acc.Cycles += res.Stats.Cycles
-			// Same coverage contract as the scalar probe's filled count:
-			// the run must commit every cycle of the window.
+			// The run must commit every cycle of the window.
 			covered := 0
 			if res.Stats.Cycles > uint64(p.win.Start) {
 				covered = int(res.Stats.Cycles - uint64(p.win.Start))
@@ -475,8 +415,8 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 			if p.fixed[ti] {
 				vec = acc.Fixed
 			}
-			// AddTrace performs exactly the BeginTrace + per-sample Set
-			// sequence of the scalar probe, so the fold stays bit-exact.
+			// AddTrace performs exactly a BeginTrace + per-sample Set
+			// sequence, so the fold is bit-exact.
 			vec.AddTrace(bufs[k][:p.L])
 		}
 	}

@@ -1,7 +1,7 @@
-// Package trace captures and analyses per-cycle energy traces from the
-// simulator: full and windowed recording, the paper's every-N-cycles
-// bucketing (Figure 6), differential traces between two runs (Figures 7-11),
-// overhead traces (Figure 12), summary statistics, and CSV export.
+// Package trace analyses per-cycle energy traces recorded by the simulator
+// (internal/gang records them): the paper's every-N-cycles bucketing
+// (Figure 6), differential traces between two runs (Figures 7-11), overhead
+// traces (Figure 12), windows, summary statistics, and CSV export.
 package trace
 
 import (
@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"desmask/internal/cpu"
-	"desmask/internal/energy"
 )
 
 // NoPC marks cycles whose EX stage held a bubble.
@@ -28,82 +25,6 @@ type Trace struct {
 
 // Len returns the number of recorded cycles.
 func (t *Trace) Len() int { return len(t.Totals) }
-
-// Recorder is a cpu.Probe that appends every cycle to a Trace, reading each
-// committed cycle's energy from the Meter. Attach the Meter to the CPU before
-// the Recorder so Meter.Last() holds the current cycle when the Recorder runs.
-type Recorder struct {
-	Meter *energy.Probe
-	T     Trace
-}
-
-// Reset drops the recorded trace while keeping the underlying buffer
-// capacity, so a pooled recorder can capture run after run without the
-// per-cycle append regrowing from zero each time.
-func (r *Recorder) Reset() {
-	r.T.Totals = r.T.Totals[:0]
-	r.T.PCs = r.T.PCs[:0]
-}
-
-// Reserve grows the buffers to hold at least n cycles without further
-// allocation — the capacity hint comes from the run's cycle budget or the
-// length of the previous run in a batch.
-func (r *Recorder) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	if cap(r.T.Totals) < n {
-		totals := make([]float64, len(r.T.Totals), n)
-		copy(totals, r.T.Totals)
-		r.T.Totals = totals
-	}
-	if cap(r.T.PCs) < n {
-		pcs := make([]uint32, len(r.T.PCs), n)
-		copy(pcs, r.T.PCs)
-		r.T.PCs = pcs
-	}
-}
-
-// Snapshot copies the recorded trace into exactly-sized slices owned by the
-// caller, leaving the recorder free for reuse.
-func (r *Recorder) Snapshot(withPCs bool) *Trace {
-	t := &Trace{Totals: append([]float64(nil), r.T.Totals...)}
-	if withPCs {
-		t.PCs = append([]uint32(nil), r.T.PCs...)
-	}
-	return t
-}
-
-// OnCycle implements cpu.Probe.
-func (r *Recorder) OnCycle(ci cpu.CycleInfo) {
-	r.T.Totals = append(r.T.Totals, r.Meter.LastPJ())
-	pc := NoPC
-	if ci.U != nil {
-		pc = ci.U.PC
-	}
-	r.T.PCs = append(r.T.PCs, pc)
-}
-
-// WindowRecorder records only cycles in [Start, End). Like Recorder, it reads
-// energy from a Meter attached earlier in the probe chain.
-type WindowRecorder struct {
-	Meter      *energy.Probe
-	Start, End uint64
-	T          Trace
-}
-
-// OnCycle implements cpu.Probe.
-func (r *WindowRecorder) OnCycle(ci cpu.CycleInfo) {
-	if ci.Cycle < r.Start || ci.Cycle >= r.End {
-		return
-	}
-	pc := NoPC
-	if ci.U != nil {
-		pc = ci.U.PC
-	}
-	r.T.Totals = append(r.T.Totals, r.Meter.LastPJ())
-	r.T.PCs = append(r.T.PCs, pc)
-}
 
 // Bucket aggregates the trace into buckets of width cycles, returning the
 // mean energy of each bucket — the paper's "every 10 cycles" view (Fig. 6).

@@ -6,67 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"desmask/internal/cpu"
-	"desmask/internal/energy"
-	"desmask/internal/isa"
 )
-
-// stepMeter drives one cycle of the meter by hand: optional fetch activity,
-// then the cycle commit. It returns the cycle's finalized energy — the value
-// a recorder attached after the meter must observe via Meter.Last().
-func stepMeter(meter *energy.Probe, cycle uint64, word uint32) float64 {
-	if word != 0 {
-		meter.OnFetch(cpu.FetchEvent{Cycle: cycle, PC: 0x10, Word: word})
-	}
-	meter.OnCycle(cpu.CycleInfo{Cycle: cycle})
-	return meter.Last().Total
-}
-
-func TestRecorder(t *testing.T) {
-	meter := energy.NewProbe(energy.DefaultConfig())
-	r := Recorder{Meter: meter}
-	u := &isa.UOp{PC: 0x10}
-
-	want0 := stepMeter(meter, 0, 0xffffffff)
-	r.OnCycle(cpu.CycleInfo{Cycle: 0, U: u})
-	stepMeter(meter, 1, 0)
-	r.OnCycle(cpu.CycleInfo{Cycle: 1, U: nil})
-
-	if r.T.Len() != 2 {
-		t.Fatalf("len = %d", r.T.Len())
-	}
-	if want0 <= 0 {
-		t.Fatalf("fetch cycle consumed no energy")
-	}
-	if r.T.Totals[0] != want0 || r.T.PCs[0] != 0x10 {
-		t.Errorf("sample 0 = %v, %#x; want %v, 0x10", r.T.Totals[0], r.T.PCs[0], want0)
-	}
-	if r.T.PCs[1] != NoPC {
-		t.Errorf("bubble pc = %#x, want NoPC", r.T.PCs[1])
-	}
-}
-
-func TestWindowRecorder(t *testing.T) {
-	meter := energy.NewProbe(energy.DefaultConfig())
-	r := WindowRecorder{Meter: meter, Start: 2, End: 4}
-	want := make([]float64, 6)
-	for i := uint64(0); i < 6; i++ {
-		// Alternate fetch words so consecutive cycles have distinct energies.
-		want[i] = stepMeter(meter, i, uint32(0x0f0f0f0f<<(i%2)))
-		u := &isa.UOp{PC: uint32(i * 4)}
-		r.OnCycle(cpu.CycleInfo{Cycle: i, U: u})
-	}
-	if r.T.Len() != 2 {
-		t.Fatalf("len = %d, want 2", r.T.Len())
-	}
-	if r.T.Totals[0] != want[2] || r.T.Totals[1] != want[3] {
-		t.Errorf("window samples = %v, want %v", r.T.Totals, want[2:4])
-	}
-	if r.T.PCs[0] != 8 || r.T.PCs[1] != 12 {
-		t.Errorf("window pcs = %v", r.T.PCs)
-	}
-}
 
 func TestBucket(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6, 7}
