@@ -111,26 +111,15 @@ type Engine struct {
 	staticPJ float64
 }
 
-// New builds a block engine with the program loaded: text predecoded, data
+// New builds a block engine with the program loaded: the micro-op table
+// from gang.Predecode (only read, so one table serves every engine), data
 // image copied into memory, SP/GP initialised exactly as cpu.Lane.Init does. A
 // non-nil energy config enables static (data-independent) energy
-// accumulation, reported by StaticPJ after each completed run. New fails for
-// targets that do not declare the five-stage pipeline geometry; callers
-// should gate on isa.BlockCompilable and fall back to the cycle-accurate
-// core.
-func New(p *asm.Program, m *mem.Memory, cfg *energy.Config) (*Engine, error) {
-	if len(p.Text) == 0 {
-		return nil, errors.New("block: empty program")
-	}
+// accumulation, reported by StaticPJ after each completed run. The target
+// must declare the five-stage pipeline geometry; callers should gate on
+// isa.BlockCompilable and fall back to the cycle-accurate core.
+func New(p *asm.Program, uops []isa.UOp, m *mem.Memory, cfg *energy.Config) (*Engine, error) {
 	target := p.TargetOrDefault()
-	if !isa.BlockCompilable(target) {
-		return nil, fmt.Errorf("block: target %s declares pipeline %+v; only the five-stage geometry is block compilable",
-			target.Name(), target.Pipeline())
-	}
-	uops, err := isa.PredecodeProgramFor(target, p.Text, p.TextBase)
-	if err != nil {
-		return nil, fmt.Errorf("block: %w", err)
-	}
 	e := &Engine{
 		prog:   p,
 		spec:   target.Pipeline(),

@@ -18,7 +18,7 @@ import (
 // newCore returns a one-lane run of the cycle-accurate pipeline over p.
 func newCore(t *testing.T, p *asm.Program) *gang.Engine {
 	t.Helper()
-	c, err := gang.New(p, energy.DefaultConfig(), 1)
+	c, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func cosim(t *testing.T, p *asm.Program, budget uint64) bool {
 	cfg := energy.DefaultConfig()
 	c := newCore(t, p)
 	meter := c.EnableMeter()
-	e, err := block.New(p, mem.New(), &cfg)
+	e, err := block.New(p, predecoded(t, p), mem.New(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ loop:	addiu $t0, $t0, -1
 	for budget := uint64(1); budget <= total+3; budget++ {
 		cc := newCore(t, p)
 		cerr := cc.Run(budget)
-		e, err := block.New(p, mem.New(), nil)
+		e, err := block.New(p, predecoded(t, p), mem.New(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ main:	li   $t0, 2
 		lw   $t1, 1($t0)     # misaligned load faults in MEM
 		halt
 		`)
-		e, err := block.New(p, mem.New(), nil)
+		e, err := block.New(p, predecoded(t, p), mem.New(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,14 +343,14 @@ main:	li   $t0, 2
 		jr   $t0
 		halt
 		`)
-		e, _ := block.New(p, mem.New(), nil)
+		e, _ := block.New(p, predecoded(t, p), mem.New(), nil)
 		if !errors.Is(e.Run(1000), block.ErrDeopt) {
 			t.Fatal("misaligned jr should deopt")
 		}
 	})
 	t.Run("runs off text end", func(t *testing.T) {
 		p, _ := asm.Assemble("main: nop\nnop\n")
-		e, _ := block.New(p, mem.New(), nil)
+		e, _ := block.New(p, predecoded(t, p), mem.New(), nil)
 		if !errors.Is(e.Run(1000), block.ErrDeopt) {
 			t.Fatal("running off the text segment should deopt")
 		}
@@ -362,14 +362,14 @@ main:	li   $t0, 0x10
 		jr   $t0
 		halt
 		`)
-		e, _ := block.New(p, mem.New(), nil)
+		e, _ := block.New(p, predecoded(t, p), mem.New(), nil)
 		if !errors.Is(e.Run(1000), block.ErrDeopt) {
 			t.Fatal("transfer outside the text segment should deopt")
 		}
 	})
 	t.Run("infinite loop hits budget", func(t *testing.T) {
 		p, _ := asm.Assemble("main: j main\nhalt\n")
-		e, _ := block.New(p, mem.New(), nil)
+		e, _ := block.New(p, predecoded(t, p), mem.New(), nil)
 		if !errors.Is(e.Run(5000), block.ErrDeopt) {
 			t.Fatal("budget expiry should deopt")
 		}
@@ -393,7 +393,7 @@ loop:	addiu $t1, $t1, -1
 		t.Fatal(err)
 	}
 	cfg := energy.DefaultConfig()
-	e, err := block.New(p, mem.New(), &cfg)
+	e, err := block.New(p, predecoded(t, p), mem.New(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,17 @@ loop:	addiu $t1, $t1, -1
 }
 
 func TestBlockNewErrors(t *testing.T) {
-	if _, err := block.New(&asm.Program{}, mem.New(), nil); err == nil {
+	if _, err := gang.Predecode(&asm.Program{}); err == nil {
 		t.Error("empty program accepted")
 	}
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }

@@ -53,10 +53,15 @@ type FieldError struct {
 	Value string
 	// Allowed lists the accepted values, when enumerable.
 	Allowed []string
+	// Reason, when set, replaces "unknown": why a well-formed value failed.
+	Reason string
 }
 
 // Error renders the failure with its allowed values.
 func (e *FieldError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("%s %s: %s", e.Field, e.Value, e.Reason)
+	}
 	msg := fmt.Sprintf("unknown %s %q", e.Field, e.Value)
 	if len(e.Allowed) > 0 {
 		msg += fmt.Sprintf(" (want %s)", strings.Join(e.Allowed, " | "))

@@ -9,6 +9,7 @@ import (
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
+	"desmask/internal/isa"
 	"desmask/internal/mem"
 )
 
@@ -20,7 +21,7 @@ func (c core) Mem() *mem.Memory { return c.Lane(0).Mem }
 
 func newCore(t *testing.T, p *asm.Program) core {
 	t.Helper()
-	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,4 +818,14 @@ func TestWorkloadsHaveNoTimingWarnings(t *testing.T) {
 	if len(res.Report.TimingWarnings) != 0 {
 		t.Errorf("masking test source has timing warnings: %v", res.Report.TimingWarnings)
 	}
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }

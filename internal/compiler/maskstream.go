@@ -2,8 +2,8 @@ package compiler
 
 // MaskStream is a splitmix64 stream: the deterministic source of
 // per-execution masks, scrub words and shuffle permutations. Self-contained
-// so mask material never depends on library PRNG internals, and shared by
-// every harness (desprog, kernels) so a given seed names one mask stream.
+// so mask material never depends on library PRNG internals; internal/harness
+// draws from it in one fixed order, so a given seed names one memory setup.
 type MaskStream struct{ s uint64 }
 
 // NewMaskStream starts a stream at the given seed.
@@ -22,46 +22,3 @@ func (r *MaskStream) Next64() uint64 {
 
 // Next32 returns the next 32-bit word of the stream.
 func (r *MaskStream) Next32() uint32 { return uint32(r.Next64() >> 32) }
-
-// Perm returns a uniform random permutation of 0..n-1 (Fisher–Yates).
-func (r *MaskStream) Perm(n int) []uint32 {
-	p := make([]uint32, n)
-	for i := range p {
-		p[i] = uint32(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(r.Next64() % uint64(i+1))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// MaskPoke is one runtime-support word a harness pokes before an execution,
-// addressed as (global symbol, word offset).
-type MaskPoke struct {
-	Sym  string
-	Word int
-	Val  uint32
-}
-
-// RuntimePokes draws the per-execution runtime state of one masked/shuffled
-// run from the stream: the scrub word, the full fresh-mask pool, and a
-// random iteration permutation. Harnesses resolve each Sym through the
-// program symbol table and write the words in order; a masked program's
-// final pool cursor should then be read back from MaskCursorSym to assert
-// the pool did not overflow.
-func (mrt *MaskRuntime) RuntimePokes(rng *MaskStream) []MaskPoke {
-	var pokes []MaskPoke
-	if mrt.PoolWords > 0 {
-		pokes = append(pokes, MaskPoke{Sym: MaskScrubSym, Val: rng.Next32()})
-		for i := 0; i < mrt.PoolWords; i++ {
-			pokes = append(pokes, MaskPoke{Sym: MaskPoolSym, Word: i, Val: rng.Next32()})
-		}
-	}
-	if mrt.ShuffleLen > 0 {
-		for i, v := range rng.Perm(mrt.ShuffleLen) {
-			pokes = append(pokes, MaskPoke{Sym: ShuffleSym, Word: i, Val: v})
-		}
-	}
-	return pokes
-}

@@ -25,7 +25,7 @@ func (c core) Mem() *mem.Memory { return c.Lane(0).Mem }
 
 func newCore(t *testing.T, p *asm.Program) core {
 	t.Helper()
-	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatalf("new core: %v", err)
 	}
@@ -393,7 +393,7 @@ main:	li   $t0, 1
 
 func TestEmptyProgramRejected(t *testing.T) {
 	p := &asm.Program{}
-	if _, err := gang.New(p, energy.DefaultConfig(), 1); err == nil {
+	if _, err := gang.Predecode(p); err == nil {
 		t.Error("empty program accepted")
 	}
 }
@@ -428,4 +428,14 @@ loop:	la   $t1, v
 		t.Errorf("cycle accounting: cycles=%d outside [%d,%d] (insts=%d stalls=%d flushes=%d)",
 			st.Cycles, min, max, st.Insts, st.Stalls, st.Flushes)
 	}
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }

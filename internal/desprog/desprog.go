@@ -21,6 +21,7 @@ import (
 	"desmask/internal/cpu"
 	"desmask/internal/des"
 	"desmask/internal/energy"
+	"desmask/internal/harness"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -249,6 +250,7 @@ type Machine struct {
 	// Decrypt marks a machine built from SourceDecrypt.
 	Decrypt bool
 
+	layout     *harness.Layout
 	runnerOnce sync.Once
 	runner     *sim.Runner
 }
@@ -268,34 +270,38 @@ func NewWithConfig(policy compiler.Policy, cfg energy.Config) (*Machine, error) 
 // NewFull compiles the DES program with full compiler options and energy
 // configuration, enabling every ablation.
 func NewFull(opt compiler.Options, cfg energy.Config) (*Machine, error) {
-	res, err := compiler.CompileWithOptions(Source(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("desprog: %w", err)
-	}
-	return &Machine{Policy: opt.Policy, Res: res, Cfg: cfg}, nil
+	return newMachine(Source(), opt, cfg, false)
 }
 
 // NewDecrypt compiles the DES *decryption* program under the given policy.
 // On the returned machine, Encrypt takes a ciphertext block and produces
 // the plaintext (the "cipher" output global holds the decryption result).
 func NewDecrypt(policy compiler.Policy) (*Machine, error) {
-	res, err := compiler.CompileWithOptions(SourceDecrypt(), compiler.Options{Policy: policy})
+	return newMachine(SourceDecrypt(), compiler.Options{Policy: policy}, energy.DefaultConfig(), true)
+}
+
+// newMachine compiles a DES program and resolves its job layout.
+func newMachine(src string, opt compiler.Options, cfg energy.Config, decrypt bool) (*Machine, error) {
+	res, err := compiler.CompileWithOptions(src, opt)
+	var layout *harness.Layout
+	if err == nil {
+		layout, err = harness.Resolve(res, []harness.Port{{Field: "key", Global: "key"}, {Field: "plaintext", Global: "plaintext"}},
+			harness.Port{Field: "cipher", Global: "cipher"}, 64)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("desprog: %w", err)
 	}
-	return &Machine{Policy: policy, Res: res, Cfg: energy.DefaultConfig(), Decrypt: true}, nil
+	return &Machine{Policy: opt.Policy, Res: res, Cfg: cfg, Decrypt: decrypt, layout: layout}, nil
 }
 
 // MaxCycles generously bounds one full encryption.
 const MaxCycles = 4_000_000
 
-// spreadBits unpacks v into 64 words, MSB first.
-func spreadBits(v uint64) []uint32 {
-	out := make([]uint32, 64)
-	for i := 0; i < 64; i++ {
-		out[i] = uint32(v >> (63 - i) & 1)
+// spreadBits unpacks v into the 64 words of dst, MSB first.
+func spreadBits(dst []uint32, v uint64) {
+	for i := range dst[:64] {
+		dst[i] = uint32(v >> (63 - i) & 1)
 	}
-	return out
 }
 
 // gatherBits packs 64 words (MSB first) into a uint64.
@@ -305,15 +311,6 @@ func gatherBits(words []uint32) uint64 {
 		v = v<<1 | uint64(words[i]&1)
 	}
 	return v
-}
-
-// globalAddr resolves the address of a MiniC global.
-func (m *Machine) globalAddr(name string) (uint32, error) {
-	addr, ok := m.Res.Program.Symbols[compiler.GlobalLabel(name)]
-	if !ok {
-		return 0, fmt.Errorf("desprog: no global %q in symbol table", name)
-	}
-	return addr, nil
 }
 
 // EntryPC returns the first-instruction address of phase function fn
@@ -348,105 +345,23 @@ func (m *Machine) EncryptJob(key, plaintext uint64, maxCycles uint64, capture bo
 	return m.EncryptJobSeeded(key, plaintext, 0, maxCycles, capture)
 }
 
-// EncryptJobSeeded is EncryptJob plus the masking/shuffling runtime state for
-// one execution, all derived from maskSeed: on a PolicyBooleanMask machine the
-// key is poked pre-split into share pairs (key[i] = bit XOR m_i into the data
-// slot, m_i into the shadow slot — the raw key never appears in simulated
-// memory), the scrub word and the fresh-mask pool are filled with stream
-// randoms, and the final pool cursor is read back (Reads[1]) so callers can
-// assert the pool did not overflow; on a shuffled machine the __shuf global
-// gets a fresh random permutation. On unprotected machines maskSeed is
-// ignored and the job is the plain EncryptJob. Reads[0] is always the
+// EncryptJobSeeded is EncryptJob plus the masking/shuffling runtime state of
+// one execution, all derived from maskSeed (see harness.Layout.Job): on a
+// PolicyBooleanMask machine the key is poked as share pairs, the scrub word
+// and fresh-mask pool are filled, and the final pool cursor is read back
+// (Reads[1]); a shuffled machine gets a fresh __shuf permutation. On
+// unprotected machines maskSeed is ignored. Reads[0] is always the
 // ciphertext.
 func (m *Machine) EncryptJobSeeded(key, plaintext uint64, maskSeed int64, maxCycles uint64, capture bool) (sim.Job, error) {
-	job := sim.Job{MaxCycles: maxCycles, Trace: capture}
-	rng := compiler.NewMaskStream(maskSeed)
-	masked := make(map[string]bool)
-	if m.Res.Mask != nil {
-		for _, g := range m.Res.Mask.MaskedGlobals {
-			masked[g] = true
-		}
-	}
-	for _, in := range []struct {
-		name string
-		v    uint64
-	}{{"key", key}, {"plaintext", plaintext}} {
-		addr, err := m.globalAddr(in.name)
-		if err != nil {
-			return sim.Job{}, err
-		}
-		if masked[in.name] {
-			shadow, err := m.globalAddr(compiler.MaskShadow(in.name))
-			if err != nil {
-				return sim.Job{}, err
-			}
-			for i, w := range spreadBits(in.v) {
-				mi := rng.Next32()
-				job.Writes = append(job.Writes,
-					sim.Write{Addr: addr + uint32(4*i), Val: w ^ mi},
-					sim.Write{Addr: shadow + uint32(4*i), Val: mi})
-			}
-			continue
-		}
-		for i, w := range spreadBits(in.v) {
-			job.Writes = append(job.Writes, sim.Write{Addr: addr + uint32(4*i), Val: w})
-		}
-	}
-	addr, err := m.globalAddr("cipher")
+	var bits [128]uint32
+	spreadBits(bits[:64], key)
+	spreadBits(bits[64:], plaintext)
+	job, err := m.layout.Job(maskSeed, bits[:64], bits[64:])
 	if err != nil {
-		return sim.Job{}, err
+		return sim.Job{}, fmt.Errorf("desprog: %w", err)
 	}
-	job.Reads = []sim.Read{{Addr: addr, Words: 64}}
-	if m.Res.Mask != nil {
-		if err := m.maskRuntimeWrites(&job, rng); err != nil {
-			return sim.Job{}, err
-		}
-	}
+	job.MaxCycles, job.Trace = maxCycles, capture
 	return job, nil
-}
-
-// maskRuntimeWrites appends the per-execution mask pool, scrub word and
-// shuffle permutation to a job, plus the pool-cursor read-back.
-func (m *Machine) maskRuntimeWrites(job *sim.Job, rng *compiler.MaskStream) error {
-	mrt := m.Res.Mask
-	for _, p := range mrt.RuntimePokes(rng) {
-		addr, err := m.globalAddr(p.Sym)
-		if err != nil {
-			return err
-		}
-		job.Writes = append(job.Writes, sim.Write{Addr: addr + uint32(4*p.Word), Val: p.Val})
-	}
-	if mrt.PoolWords > 0 {
-		cursor, err := m.globalAddr(compiler.MaskCursorSym)
-		if err != nil {
-			return err
-		}
-		job.Reads = append(job.Reads, sim.Read{Addr: cursor, Words: 1})
-	}
-	return nil
-}
-
-// CheckMaskCursor asserts a masked run stayed inside its fresh-mask pool,
-// using the cursor read-back appended by EncryptJobSeeded. No-op on
-// unprotected machines.
-func (m *Machine) CheckMaskCursor(res sim.Result) error {
-	if m.Res.Mask == nil || m.Res.Mask.PoolWords == 0 {
-		return nil
-	}
-	if len(res.Mem) < 2 || len(res.Mem[1]) != 1 {
-		return fmt.Errorf("desprog: masked run result carries no pool cursor read-back")
-	}
-	pool, err := m.globalAddr(compiler.MaskPoolSym)
-	if err != nil {
-		return err
-	}
-	end := pool + uint32(4*m.Res.Mask.PoolWords)
-	cur := res.Mem[1][0]
-	if cur < pool || cur > end {
-		return fmt.Errorf("desprog: mask pool overflow: cursor %#x outside [%#x,%#x] (%d words drawn, pool holds %d)",
-			cur, pool, end, (cur-pool)/4, m.Res.Mask.PoolWords)
-	}
-	return nil
 }
 
 // Encrypt runs one encryption through the simulation session, attaching any

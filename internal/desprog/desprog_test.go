@@ -6,11 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"desmask/internal/asm"
 	"desmask/internal/compiler"
 	"desmask/internal/cpu"
 	"desmask/internal/des"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
+	"desmask/internal/isa"
 	"desmask/internal/mem"
 	"desmask/internal/minic"
 	"desmask/internal/trace"
@@ -95,12 +97,14 @@ func TestAllPoliciesProduceSameCiphertext(t *testing.T) {
 }
 
 func TestBitSpreadGatherRoundTrip(t *testing.T) {
+	bits := make([]uint32, 64)
 	for _, v := range []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0), 1 << 63} {
-		if got := gatherBits(spreadBits(v)); got != v {
+		spreadBits(bits, v)
+		if got := gatherBits(bits); got != v {
 			t.Errorf("round trip %#x -> %#x", v, got)
 		}
 	}
-	bits := spreadBits(1 << 63)
+	spreadBits(bits, 1<<63)
 	if bits[0] != 1 || bits[1] != 0 {
 		t.Error("spreadBits must be MSB first")
 	}
@@ -406,7 +410,7 @@ func TestCosimAgainstGoldenModel(t *testing.T) {
 	m := mach(t, compiler.PolicyNone)
 	prog := m.Res.Program
 
-	pipe, err := gang.New(prog, energy.DefaultConfig(), 1)
+	pipe, err := gang.New(prog, predecoded(t, prog), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,4 +488,14 @@ func TestDESInterpreterAgrees(t *testing.T) {
 	if want := des.Encrypt(testKey, testPlain); ct != want {
 		t.Fatalf("interpreter cipher = %#016x, want %#016x", ct, want)
 	}
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }

@@ -95,3 +95,25 @@ func TestMaskStreamFixture(t *testing.T) {
 		}
 	}
 }
+
+// jobSink keeps the benchmarked job alive so the call cannot be elided.
+var jobSink sim.Job
+
+// BenchmarkEncryptJobSeeded prices the construction of one boolean-mask DES
+// job — key shares, scrub word and the 4,096-word mask pool — the per-trace
+// setup of every masked assessment.
+func BenchmarkEncryptJobSeeded(b *testing.B) {
+	m, err := New(compiler.PolicyBooleanMask)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job, err := m.EncryptJobSeeded(0x133457799BBCDFF1, 0x0123456789ABCDEF, int64(i), 0, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobSink = job
+	}
+}

@@ -125,17 +125,13 @@ type Engine struct {
 	ev energy.LaneEvents // reused per cycle; no steady-state allocation
 }
 
-// New builds an engine over the program with capacity for width lanes: the
-// text is predecoded once into the micro-op table, so the steady-state step
-// is pure table dispatch with no decoding and no allocation. It refuses
-// targets that do not declare the five-stage pipeline geometry it
-// implements. Call Reset before the first run.
-func New(p *asm.Program, cfg energy.Config, width int) (*Engine, error) {
+// Predecode checks that the program targets the five-stage geometry this
+// core implements and predecodes its text into the micro-op table New
+// takes, so the step is pure table dispatch with no decoding. Engines only
+// read the table: one serves every engine of the program.
+func Predecode(p *asm.Program) ([]isa.UOp, error) {
 	if len(p.Text) == 0 {
 		return nil, errors.New("gang: empty program")
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("gang: width %d < 1", width)
 	}
 	target := p.TargetOrDefault()
 	if spec := target.Pipeline(); spec != isa.FiveStage {
@@ -149,10 +145,19 @@ func New(p *asm.Program, cfg energy.Config, width int) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gang: %w", err)
 	}
+	return uops, nil
+}
+
+// New builds an engine over the program, given its micro-op table from
+// Predecode, with capacity for width lanes. Call Reset before the first run.
+func New(p *asm.Program, uops []isa.UOp, cfg energy.Config, width int) (*Engine, error) {
+	if width < 1 {
+		return nil, fmt.Errorf("gang: width %d < 1", width)
+	}
 	e := &Engine{
 		prog:       p,
 		uops:       uops,
-		scale:      target.ALUOpScale(),
+		scale:      p.TargetOrDefault().ALUOpScale(),
 		width:      width,
 		vec:        energy.NewVecMeter(cfg, width),
 		lanes:      make([]cpu.Lane, width),

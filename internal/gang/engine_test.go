@@ -9,6 +9,7 @@ import (
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
+	"desmask/internal/isa"
 )
 
 // mixKernel is a data-varying, control-uniform program: every lane loads its
@@ -46,7 +47,7 @@ loop:	xor.s $s2, $s0, $s1
 // must reproduce.
 func runScalar(t *testing.T, p *asm.Program, input uint32, budget, start, end uint64) (*gang.Engine, []float64, error) {
 	t.Helper()
-	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func gangCosim(t *testing.T, src string, inputs []uint32, budget, start, end uin
 		t.Fatal(err)
 	}
 	n := len(inputs)
-	e, err := gang.New(p, energy.DefaultConfig(), n)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestGangTraceBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []uint32{3, 0xfeedface}
-	e, err := gang.New(p, energy.DefaultConfig(), len(inputs))
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), len(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestGangTraceBitIdentity(t *testing.T) {
 	}
 	e.Run(100000)
 
-	c, err := gang.New(p, energy.DefaultConfig(), 1)
+	c, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestGangBudgetExpiryKeepsLanesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := gang.New(p, energy.DefaultConfig(), 3)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ loop:	addiu $t0, $t0, -1
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := gang.New(p, energy.DefaultConfig(), 1)
+	cc, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ loop:	addiu $t0, $t0, -1
 		t.Fatal(err)
 	}
 	total := cc.Stats().Cycles
-	e, err := gang.New(p, energy.DefaultConfig(), 2)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestGangFetchFaultDeoptsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := gang.New(p, energy.DefaultConfig(), 2)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestGangResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	e, err := gang.New(p, energy.DefaultConfig(), n)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,17 +446,17 @@ func TestGangWidthOne(t *testing.T) {
 }
 
 func TestGangNewErrors(t *testing.T) {
-	if _, err := gang.New(&asm.Program{}, energy.DefaultConfig(), 4); err == nil {
+	if _, err := gang.Predecode(&asm.Program{}); err == nil {
 		t.Error("empty program accepted")
 	}
 	p, err := asm.Assemble("main: halt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gang.New(p, energy.DefaultConfig(), 0); err == nil {
+	if _, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 0); err == nil {
 		t.Error("width 0 accepted")
 	}
-	e, err := gang.New(p, energy.DefaultConfig(), 2)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,4 +477,14 @@ func TestGangManyWidths(t *testing.T) {
 			gangCosim(t, mixKernel, inputs, 100000, 0, 120)
 		})
 	}
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }

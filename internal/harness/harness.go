@@ -1,0 +1,145 @@
+// Package harness builds the simulator jobs of a compiled MiniC program.
+// Resolve looks up, once per program, every address a job touches; Job
+// then writes one execution's inputs and per-execution mask material
+// straight into a pre-sized sim.Job. desprog and kernels both build their
+// jobs here, so a mask seed names one memory setup everywhere.
+package harness
+
+import (
+	"fmt"
+	"slices"
+
+	"desmask/internal/compiler"
+	"desmask/internal/sim"
+)
+
+// Port is a global a job pokes or reads and the field ("secret") naming it.
+type Port struct{ Field, Global string }
+
+// LengthError reports an input or output that would overrun its global.
+type LengthError struct {
+	Port
+	Len, Words int
+}
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("%s: %d words overrun global %q (%d words)", e.Field, e.Len, e.Global, e.Words)
+}
+
+type input struct {
+	Port
+	addr, shadow uint32 // shadow holds the mask share of a masked input
+	words        int
+	masked       bool
+}
+
+// Layout is one compiled program's resolved, immutable job layout.
+type Layout struct {
+	inputs            []input
+	reads             []sim.Read // the output, then the pool cursor when masked
+	scrub, pool, shuf uint32
+	poolWords, shufN  int
+}
+
+// Resolve resolves the layout of res: inputs are poked in the given order,
+// and outWords words of the output global are read back as Reads[0].
+func Resolve(res *compiler.Result, inputs []Port, output Port, outWords int) (*Layout, error) {
+	l := &Layout{}
+	var masked []string
+	if mrt := res.Mask; mrt != nil {
+		masked, l.poolWords, l.shufN = mrt.MaskedGlobals, mrt.PoolWords, mrt.ShuffleLen
+	}
+	var err error
+	lookup := func(name string) (addr uint32, words int) {
+		addr, ok := res.Program.Symbols[compiler.GlobalLabel(name)]
+		if !ok && err == nil {
+			err = fmt.Errorf("no global %q in symbol table", name)
+		}
+		// Runtime globals the compiler injects have no declared length.
+		if d := res.Analysis.File.FindGlobal(name); d != nil {
+			words = 1
+			if d.IsArray {
+				words = d.ArrayLen
+			}
+		}
+		return addr, words
+	}
+	for _, p := range inputs {
+		in := input{Port: p, masked: slices.Contains(masked, p.Global)}
+		in.addr, in.words = lookup(p.Global)
+		if in.masked {
+			in.shadow, _ = lookup(compiler.MaskShadow(p.Global))
+		}
+		l.inputs = append(l.inputs, in)
+	}
+	out, words := lookup(output.Global)
+	l.reads = []sim.Read{{Addr: out, Words: outWords}}
+	if l.poolWords > 0 {
+		l.scrub, _ = lookup(compiler.MaskScrubSym)
+		l.pool, _ = lookup(compiler.MaskPoolSym)
+		cursor, _ := lookup(compiler.MaskCursorSym)
+		l.reads = append(l.reads, sim.Read{Addr: cursor, Words: 1})
+	}
+	if l.shufN > 0 {
+		l.shuf, _ = lookup(compiler.ShuffleSym)
+	}
+	if err == nil && outWords > words {
+		err = &LengthError{Port: output, Len: outWords, Words: words}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Job builds the job of one execution, drawing from the mask stream of
+// maskSeed in one fixed order. vals[i] is poked word by word into input i;
+// a masked input's word v goes in as the share pair v^m (global) and m
+// (shadow), so the raw secret never sits in simulated memory. The stream
+// then fills the scrub word, the fresh-mask pool and the shuffle
+// permutation. Reads[0] is the output; a masked program also reads back
+// its final pool cursor as Reads[1], to assert the pool did not overflow.
+func (l *Layout) Job(maskSeed int64, vals ...[]uint32) (sim.Job, error) {
+	n := l.shufN
+	if l.poolWords > 0 {
+		n += 1 + l.poolWords
+	}
+	for i, in := range l.inputs {
+		if len(vals[i]) > in.words {
+			return sim.Job{}, &LengthError{Port: in.Port, Len: len(vals[i]), Words: in.words}
+		}
+		n += len(vals[i])
+		if in.masked {
+			n += len(vals[i])
+		}
+	}
+	w := make([]sim.Write, 0, n)
+	rng := compiler.NewMaskStream(maskSeed)
+	for i, in := range l.inputs {
+		for j, v := range vals[i] {
+			addr := in.addr + uint32(4*j)
+			if !in.masked {
+				w = append(w, sim.Write{Addr: addr, Val: v})
+				continue
+			}
+			m := rng.Next32()
+			w = append(w, sim.Write{Addr: addr, Val: v ^ m}, sim.Write{Addr: in.shadow + uint32(4*j), Val: m})
+		}
+	}
+	if l.poolWords > 0 {
+		w = append(w, sim.Write{Addr: l.scrub, Val: rng.Next32()})
+		for j := 0; j < l.poolWords; j++ {
+			w = append(w, sim.Write{Addr: l.pool + uint32(4*j), Val: rng.Next32()})
+		}
+	}
+	// Fisher–Yates over the identity, in place in the job's last writes.
+	perm := w[len(w):n]
+	for j := range perm {
+		perm[j] = sim.Write{Addr: l.shuf + uint32(4*j), Val: uint32(j)}
+	}
+	for j := len(perm) - 1; j > 0; j-- {
+		k := int(rng.Next64() % uint64(j+1))
+		perm[j].Val, perm[k].Val = perm[k].Val, perm[j].Val
+	}
+	return sim.Job{Writes: w[:n], Reads: slices.Clone(l.reads)}, nil
+}

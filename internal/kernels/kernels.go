@@ -15,6 +15,7 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
+	"desmask/internal/harness"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -42,6 +43,8 @@ type Machine struct {
 
 	runnerOnce sync.Once
 	runner     *sim.Runner
+	layout     *harness.Layout
+	layoutErr  error // reported by every job, so Build itself never fails on it
 }
 
 // Build compiles the kernel under the given options and energy
@@ -51,7 +54,10 @@ func Build(k Kernel, opt compiler.Options, cfg energy.Config) (*Machine, error) 
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", k.Name, err)
 	}
-	return &Machine{Kernel: k, Res: res, Cfg: cfg}, nil
+	layout, err := harness.Resolve(res,
+		[]harness.Port{{Field: "secret", Global: k.SecretGlobal}, {Field: "public", Global: k.PublicGlobal}},
+		harness.Port{Field: "output_len", Global: k.OutputGlobal}, k.OutputLen)
+	return &Machine{Kernel: k, Res: res, Cfg: cfg, layout: layout, layoutErr: err}, nil
 }
 
 // BuildSimple compiles with a bare policy and the default energy model.
@@ -80,78 +86,20 @@ func (m *Machine) Job(secret, public []uint32, capture bool) (sim.Job, error) {
 	return m.JobSeeded(secret, public, 0, capture)
 }
 
-// globalAddr resolves the address of a MiniC global.
-func (m *Machine) globalAddr(name string) (uint32, error) {
-	addr, ok := m.Res.Program.Symbols[compiler.GlobalLabel(name)]
-	if !ok {
-		return 0, fmt.Errorf("kernels: %s: no global %q", m.Kernel.Name, name)
-	}
-	return addr, nil
-}
-
-// JobSeeded is Job plus the masking/shuffling runtime state for one
-// execution, all derived from maskSeed: on a PolicyBooleanMask machine the
-// secret is poked pre-split into share pairs (word XOR m_i into the data
-// slot, m_i into the shadow slot — the raw secret never appears in simulated
-// memory), the scrub word and fresh-mask pool are filled with stream
-// randoms, and the final pool cursor is read back (Reads[1]); on a shuffled
-// machine the __shuf global gets a fresh random permutation. On unprotected
-// machines maskSeed is ignored. Reads[0] is always the output array.
+// JobSeeded is Job plus the masking/shuffling runtime state of one
+// execution, derived from maskSeed by harness.Layout.Job; Reads[0] is the
+// output array. An input or OutputLen past its global fails with a
+// *harness.LengthError naming "secret", "public" or "output_len".
 func (m *Machine) JobSeeded(secret, public []uint32, maskSeed int64, capture bool) (sim.Job, error) {
-	job := sim.Job{Trace: capture}
-	rng := compiler.NewMaskStream(maskSeed)
-	masked := make(map[string]bool)
-	if m.Res.Mask != nil {
-		for _, g := range m.Res.Mask.MaskedGlobals {
-			masked[g] = true
-		}
+	err := m.layoutErr
+	var job sim.Job
+	if err == nil {
+		job, err = m.layout.Job(maskSeed, secret, public)
 	}
-	for _, in := range []struct {
-		name string
-		vals []uint32
-	}{{m.Kernel.SecretGlobal, secret}, {m.Kernel.PublicGlobal, public}} {
-		addr, err := m.globalAddr(in.name)
-		if err != nil {
-			return sim.Job{}, err
-		}
-		if masked[in.name] {
-			shadow, err := m.globalAddr(compiler.MaskShadow(in.name))
-			if err != nil {
-				return sim.Job{}, err
-			}
-			for i, v := range in.vals {
-				mi := rng.Next32()
-				job.Writes = append(job.Writes,
-					sim.Write{Addr: addr + uint32(4*i), Val: v ^ mi},
-					sim.Write{Addr: shadow + uint32(4*i), Val: mi})
-			}
-			continue
-		}
-		for i, v := range in.vals {
-			job.Writes = append(job.Writes, sim.Write{Addr: addr + uint32(4*i), Val: v})
-		}
-	}
-	addr, err := m.globalAddr(m.Kernel.OutputGlobal)
 	if err != nil {
-		return sim.Job{}, err
+		return sim.Job{}, fmt.Errorf("kernels: %s: %w", m.Kernel.Name, err)
 	}
-	job.Reads = []sim.Read{{Addr: addr, Words: m.Kernel.OutputLen}}
-	if m.Res.Mask != nil {
-		for _, p := range m.Res.Mask.RuntimePokes(rng) {
-			addr, err := m.globalAddr(p.Sym)
-			if err != nil {
-				return sim.Job{}, err
-			}
-			job.Writes = append(job.Writes, sim.Write{Addr: addr + uint32(4*p.Word), Val: p.Val})
-		}
-		if m.Res.Mask.PoolWords > 0 {
-			cursor, err := m.globalAddr(compiler.MaskCursorSym)
-			if err != nil {
-				return sim.Job{}, err
-			}
-			job.Reads = append(job.Reads, sim.Read{Addr: cursor, Words: 1})
-		}
-	}
+	job.Trace = capture
 	return job, nil
 }
 

@@ -1,11 +1,13 @@
 package kernels
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"desmask/internal/compiler"
+	"desmask/internal/harness"
 	"desmask/internal/trace"
 )
 
@@ -300,5 +302,64 @@ func TestSHA1NoTimingWarnings(t *testing.T) {
 	}
 	if len(m.Res.Report.TimingWarnings) != 0 {
 		t.Errorf("SHA-1 kernel has timing warnings: %v", m.Res.Report.TimingWarnings)
+	}
+}
+
+// TestJobSeededRejectsOverrun: an input longer than its global, or an
+// output length past the output global, is refused before any word is
+// poked — poking it would silently overwrite the neighbouring globals.
+func TestJobSeededRejectsOverrun(t *testing.T) {
+	src := `
+secure int k[2];
+int p[2];
+int out[2];
+int s;
+
+void emit_output() {
+	out[0] = public(k[0] ^ p[0]);
+	out[1] = public(k[1] ^ p[1]);
+}
+
+void main() { emit_output(); }
+`
+	k := Kernel{Name: "overrun", Source: src, SecretGlobal: "k", PublicGlobal: "p", OutputGlobal: "out", OutputLen: 2}
+	for _, policy := range []compiler.Policy{compiler.PolicyNone, compiler.PolicyBooleanMask} {
+		m, err := BuildSimple(k, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.JobSeeded([]uint32{1}, []uint32{2, 3}, 1, false); err != nil {
+			t.Fatalf("%v: in-bounds inputs refused: %v", policy, err)
+		}
+		for _, tc := range []struct {
+			field          string
+			secret, public []uint32
+		}{
+			{"secret", make([]uint32, 6), []uint32{1, 2}},
+			{"public", []uint32{1, 2}, make([]uint32, 3)},
+		} {
+			_, err := m.JobSeeded(tc.secret, tc.public, 1, false)
+			var le *harness.LengthError
+			if !errors.As(err, &le) || le.Field != tc.field || le.Words != 2 {
+				t.Errorf("%v: %s overrun: got %v, want a LengthError on %s (2 words)", policy, tc.field, err, tc.field)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		out   string
+		len   int
+		words int
+	}{{"out", 3, 2}, {"s", 2, 1}} {
+		bad := k
+		bad.OutputGlobal, bad.OutputLen = tc.out, tc.len
+		m, err := BuildSimple(bad, compiler.PolicyNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = m.Run([]uint32{1, 2}, []uint32{3, 4})
+		var le *harness.LengthError
+		if !errors.As(err, &le) || le.Field != "output_len" || le.Words != tc.words {
+			t.Errorf("output_len %d over %s: got %v, want a LengthError on output_len (%d words)", tc.len, tc.out, err, tc.words)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package leakstat
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"desmask/internal/compiler"
@@ -122,33 +123,46 @@ func TestAssessGangCoverageError(t *testing.T) {
 // TestAssessSteadyStateAllocs pins the per-trace allocation budget of both
 // engines: scratch (probes, sample buffers, gang lanes) is allocated per
 // shard, never per trace, so the marginal cost of a trace is just its job
-// construction plus the fixed result bookkeeping.
+// construction plus the fixed result bookkeeping. The marginal cost is the
+// difference between a 48- and a 16-trace assessment, per trace.
 func TestAssessSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	m := desMachine(t, compiler.PolicyNone)
 	const maxCycles = 3000
-	win, err := DESMaskedWindow(m, testKey, testPlain, maxCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := DESKeySource(m, testKey, testPlain, 7, maxCycles)
-	// The budget is dominated by per-trace job construction (the DES key and
-	// plaintext spread into ~130 Write entries, plus the random-population
-	// key derivation) and the fixed Result bookkeeping — engine scratch is
-	// per-shard and must not show up here.
+	// The budgets are dominated by per-trace job construction — one
+	// pre-sized Write slice per job: ~130 entries unmasked, ~4,300 on
+	// boolean-mask DES (key shares plus the 4,096-word mask pool) — plus the
+	// random-population key derivation and the fixed Result bookkeeping.
+	// Engine scratch is per shard and must not show up here.
+	//
+	// Gang mode used to cost hundreds of allocations per masked trace more
+	// than one-lane mode: each job's ~750 KB of mask pokes forced a GC every
+	// few gangs, every GC emptied the runner's worker pool, and every pool
+	// miss rebuilt and re-predecoded a gang engine. With jobs written
+	// straight into one pre-sized slice and the micro-op table predecoded
+	// once per runner, the two modes share one budget.
 	for _, tc := range []struct {
-		name  string
-		gangW int
-		max   float64
+		name     string
+		policy   compiler.Policy
+		gangW    int
+		maxAlloc float64
+		maxKB    float64
 	}{
-		{"scalar", 0, 16},
-		{"gang", 8, 16},
+		{"scalar", compiler.PolicyNone, 0, 16, 96},
+		{"gang", compiler.PolicyNone, 8, 16, 96},
+		{"boolean-mask/scalar", compiler.PolicyBooleanMask, 0, 16, 96},
+		{"boolean-mask/gang", compiler.PolicyBooleanMask, 8, 16, 96},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			assess := func(n int) float64 {
-				return testing.AllocsPerRun(2, func() {
+			m := desMachine(t, tc.policy)
+			win, err := DESMaskedWindow(m, testKey, testPlain, maxCycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := DESKeySource(m, testKey, testPlain, 7, maxCycles)
+			assess := func(n int) (allocs, bytes float64) {
+				return heapPerRun(t, func() {
 					if _, err := Assess(src, Config{
 						NumTraces: n,
 						Seed:      7,
@@ -161,11 +175,33 @@ func TestAssessSteadyStateAllocs(t *testing.T) {
 					}
 				})
 			}
-			small, large := assess(16), assess(48)
-			perTrace := (large - small) / 32
-			if perTrace > tc.max {
-				t.Errorf("%.2f allocs per trace, want <= %.0f (fixed overhead %.0f)", perTrace, tc.max, small)
+			smallA, smallB := assess(16)
+			largeA, largeB := assess(48)
+			perTrace, kbPerTrace := (largeA-smallA)/32, (largeB-smallB)/32/1024
+			if perTrace > tc.maxAlloc {
+				t.Errorf("%.2f allocs per trace, want <= %.0f (fixed overhead %.0f)", perTrace, tc.maxAlloc, smallA)
 			}
+			if kbPerTrace > tc.maxKB {
+				t.Errorf("%.1f KB allocated per trace, want <= %.0f", kbPerTrace, tc.maxKB)
+			}
+			t.Logf("%.1f allocs, %.1f KB per trace", perTrace, kbPerTrace)
 		})
 	}
+}
+
+// heapPerRun is testing.AllocsPerRun extended to heap bytes: the mean
+// allocation count and bytes of fn over a few runs after a warm-up, on
+// one P so no other goroutine's allocations are counted.
+func heapPerRun(t *testing.T, fn func()) (allocs, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -14,6 +14,10 @@ const pageWords = 1024
 // empty memory ready for use.
 type Memory struct {
 	pages map[uint32]*[pageWords]uint32
+	// last caches the most recently touched page, so a run of accesses to
+	// one page skips the map; pages are never freed, so it never dangles.
+	last    *[pageWords]uint32
+	lastIdx uint32
 	// Reads and Writes count word accesses, for reporting.
 	Reads, Writes uint64
 }
@@ -44,17 +48,23 @@ func (e *AlignmentError) Error() string {
 }
 
 func (m *Memory) page(addr uint32, create bool) *[pageWords]uint32 {
+	idx := addr / 4 / pageWords
+	if m.last != nil && m.lastIdx == idx {
+		return m.last
+	}
 	if m.pages == nil {
 		if !create {
 			return nil
 		}
 		m.pages = map[uint32]*[pageWords]uint32{}
 	}
-	idx := addr / 4 / pageWords
 	p := m.pages[idx]
 	if p == nil && create {
 		p = new([pageWords]uint32)
 		m.pages[idx] = p
+	}
+	if p != nil {
+		m.last, m.lastIdx = p, idx
 	}
 	return p
 }

@@ -36,6 +36,7 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/desprog"
 	"desmask/internal/energy"
+	"desmask/internal/harness"
 	"desmask/internal/jobstore"
 	"desmask/internal/kernels"
 	"desmask/internal/leakstat"
@@ -589,8 +590,8 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 
 // finishJobError maps an execute error onto the HTTP surface and the job
 // store: context expiry leaves a durable job pending (a restart resumes its
-// remaining shards) and returns 504; anything else fails the job and
-// returns 422.
+// remaining shards) and returns 504; anything else fails the job: 400 naming
+// the field for an input that overruns its global, otherwise 422.
 func (s *Server) finishJobError(w http.ResponseWriter, jobID string, err error) {
 	if ctxErr(err) {
 		if jobID != "" {
@@ -607,6 +608,13 @@ func (s *Server) finishJobError(w http.ResponseWriter, jobID string, err error) 
 			s.log.Printf("leakd: failing job %s: %v", jobID, ferr)
 		}
 	}
-	s.metrics.jobDone("failed")
-	s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	status, outcome := http.StatusUnprocessableEntity, "failed"
+	var le *harness.LengthError
+	if errors.As(err, &le) {
+		status, outcome = http.StatusBadRequest, "rejected"
+		err = &cliconf.FieldError{Field: le.Field, Value: fmt.Sprintf("%d words", le.Len),
+			Reason: fmt.Sprintf("global %q holds %d", le.Global, le.Words)}
+	}
+	s.metrics.jobDone(outcome)
+	s.writeError(w, status, "%v", err)
 }

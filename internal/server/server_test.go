@@ -396,3 +396,45 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("drain hung")
 	}
 }
+
+// TestCustomSourceOverrun400: request inputs longer than the submitted
+// program's globals, or an output_len past its output global, are refused
+// with a structured 400 naming the field instead of being poked over the
+// neighbouring globals.
+func TestCustomSourceOverrun400(t *testing.T) {
+	src := `
+secure int k[2];
+int p[2];
+int out[2];
+
+void emit_output() {
+	out[0] = public(k[0] ^ p[0]);
+	out[1] = public(k[1] ^ p[1]);
+}
+
+void main() { emit_output(); }
+`
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		field string
+		edit  func(r *AssessRequest)
+	}{
+		{"secret", func(r *AssessRequest) { r.Secret = make([]uint32, 6) }},
+		{"public", func(r *AssessRequest) { r.Public = []uint32{1, 2, 3} }},
+		{"output_len", func(r *AssessRequest) { r.OutputLen = 5 }},
+	} {
+		req := AssessRequest{Source: src, SecretGlobal: "k", PublicGlobal: "p", OutputGlobal: "out",
+			OutputLen: 2, Secret: []uint32{1, 2}, Public: []uint32{3, 4}}
+		req.Policy = "none"
+		req.Traces = 8
+		tc.edit(&req)
+		code, _, body := postAssess(t, ts.URL, req)
+		var e errorResponse
+		if err := json.Unmarshal([]byte(body), &e); err != nil {
+			t.Fatalf("%s: bad error body %q: %v", tc.field, body, err)
+		}
+		if code != http.StatusBadRequest || e.Field != tc.field {
+			t.Errorf("%s overrun: status %d field %q, want 400 naming %q: %s", tc.field, code, e.Field, tc.field, body)
+		}
+	}
+}

@@ -127,7 +127,8 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	w.gangReps, w.gangLaneOf = reps, laneOf
 
 	if w.e.Width() < len(reps) {
-		e, err := gang.New(r.prog, r.cfg, len(reps))
+		uops, _ := r.predecoded() // the worker's first engine was built from it
+		e, err := gang.New(r.prog, uops, r.cfg, len(reps))
 		if err != nil {
 			for i := range jobs {
 				*resAt(i) = Result{Err: err}

@@ -287,7 +287,10 @@ type Runner struct {
 	// concurrently by batch workers.
 	MaxCycles uint64
 
-	pool sync.Pool // *worker
+	pool     sync.Pool // *worker
+	uopsOnce sync.Once
+	uops     []isa.UOp // predecoded on first use, shared read-only by every engine
+	uopsErr  error
 	// traceHint remembers the previous captured run length so batch
 	// recorders pre-size their buffers instead of regrowing per cycle.
 	traceHint atomic.Int64
@@ -309,6 +312,12 @@ type Runner struct {
 // energy configuration.
 func NewRunner(prog *asm.Program, cfg energy.Config) *Runner {
 	return &Runner{prog: prog, cfg: cfg}
+}
+
+// predecoded returns the session's micro-op table, predecoding it once.
+func (r *Runner) predecoded() ([]isa.UOp, error) {
+	r.uopsOnce.Do(func() { r.uops, r.uopsErr = gang.Predecode(r.prog) })
+	return r.uops, r.uopsErr
 }
 
 // Program returns the session's compiled program.
@@ -354,7 +363,11 @@ func (r *Runner) getWorker() (*worker, error) {
 	if w, ok := r.pool.Get().(*worker); ok {
 		return w, nil
 	}
-	e, err := gang.New(r.prog, r.cfg, 1)
+	uops, err := r.predecoded()
+	if err != nil {
+		return nil, err
+	}
+	e, err := gang.New(r.prog, uops, r.cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +416,8 @@ func (r *Runner) runBlocksOn(w *worker, job Job) (Result, bool) {
 		if w.blocksBroken {
 			return Result{}, false
 		}
-		e, err := block.New(r.prog, mem.New(), &r.cfg)
+		uops, _ := r.predecoded() // this worker's pipeline was built from it
+		e, err := block.New(r.prog, uops, mem.New(), &r.cfg)
 		if err != nil {
 			w.blocksBroken = true
 			return Result{}, false

@@ -12,6 +12,7 @@ import (
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
+	"desmask/internal/isa"
 	"desmask/internal/trace"
 )
 
@@ -34,7 +35,7 @@ func meteredRun(t *testing.T, observe func(e *gang.Engine)) ([]float64, []uint32
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := gang.New(p, energy.DefaultConfig(), 1)
+	e, err := gang.New(p, predecoded(t, p), energy.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,4 +105,14 @@ func (f cpuProbe) OnCycle(ci cpu.CycleInfo) {
 		pc = ci.U.PC
 	}
 	f(pc)
+}
+
+// predecoded returns p's micro-op table, failing the test on error.
+func predecoded(t *testing.T, p *asm.Program) []isa.UOp {
+	t.Helper()
+	uops, err := gang.Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uops
 }
