@@ -136,12 +136,10 @@ func TestAssessSteadyStateAllocs(t *testing.T) {
 	// random-population key derivation and the fixed Result bookkeeping.
 	// Engine scratch is per shard and must not show up here.
 	//
-	// Gang mode used to cost hundreds of allocations per masked trace more
-	// than one-lane mode: each job's ~750 KB of mask pokes forced a GC every
-	// few gangs, every GC emptied the runner's worker pool, and every pool
-	// miss rebuilt and re-predecoded a gang engine. With jobs written
-	// straight into one pre-sized slice and the micro-op table predecoded
-	// once per runner, the two modes share one budget.
+	// Gang and one-lane modes share one budget on masked sources too. A GC
+	// empties the runner's worker pool, and each pool miss rebuilds a gang
+	// engine, so gang mode stays within budget only while job garbage keeps
+	// GCs rare and a rebuild reuses the runner's predecoded table.
 	for _, tc := range []struct {
 		name     string
 		policy   compiler.Policy
