@@ -37,8 +37,6 @@ bench:
 #    (traces/sec, speedup, t-vector bit-identity) (BENCH_gang.json)
 #  - leakd under concurrent client load: per-second 200/429/504 curves,
 #    cache-hit rate and latency percentiles (BENCH_leakd.json)
-#  - full 48-bit key-recovery success rate vs trace count, unprotected vs
-#    operand-shuffled (BENCH_keyrecovery.json)
 bench-json:
 	$(GO) run ./cmd/simbench -traces 64 -trials 10 \
 		-o BENCH_parallel_traces.json -core-o BENCH_predecode.json
@@ -49,7 +47,6 @@ bench-json:
 	$(GO) run ./cmd/tvla -bench -traces 10000 -max 12000 -o BENCH_tvla.json
 	$(GO) run ./cmd/leakload -clients 64 -requests 512 -traces 32 \
 		-concurrency 4 -queue 16 -o BENCH_leakd.json
-	$(GO) run ./cmd/dpa-attack -curve 32,64,128,256 -o BENCH_keyrecovery.json
 
 # Regenerate every figure and table of the paper (text report + plots).
 experiments:

@@ -18,7 +18,6 @@ import (
 	"desmask/internal/experiments"
 	"desmask/internal/kernels"
 	"desmask/internal/sim"
-	"desmask/internal/trace"
 )
 
 const (
@@ -342,20 +341,29 @@ func BenchmarkCollectTraces_Sequential(b *testing.B) { benchCollectWorkers(b, 1)
 // workers; on a 4+-core machine this shows the >=3x batch speedup.
 func BenchmarkCollectTraces_Parallel(b *testing.B) { benchCollectWorkers(b, 0) }
 
-// BenchmarkDifferenceOfMeans measures one DPA guess evaluation.
-func BenchmarkDifferenceOfMeans(b *testing.B) {
+// BenchmarkFullKeyAttack prices one full 48-bit round-key attack (8
+// S-boxes x 64 guesses) per distinguisher on 32 unprotected traces of 25k
+// cycles — the keyrec verdict's attack half.
+func BenchmarkFullKeyAttack(b *testing.B) {
 	m, err := desprog.New(compiler.PolicyNone)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := dpa.Collect(m, benchKey, dpa.Config{NumTraces: 16, Seed: 7, MaxCycles: 25_000})
+	ts, err := dpa.Collect(m, benchKey, dpa.Config{NumTraces: 32, Seed: 9, MaxCycles: 25_000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts.Window = trace.Window{Start: 7_000, End: 25_000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dpa.DifferenceOfMeans(ts, i%8, 0, uint32(i)%64)
+	ct := des.Encrypt(benchKey, ts.Plaintexts[0])
+	for _, stat := range []dpa.Stat{dpa.StatDoM, dpa.StatCPA, dpa.StatCPA2} {
+		b.Run(stat.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var res dpa.FullKeyResult
+			for i := 0; i < b.N; i++ {
+				res = dpa.FullKeyAttack(ts, stat, ts.Plaintexts[0], ct)
+			}
+			res.VerifyAgainst(benchKey)
+			b.ReportMetric(float64(res.Recovered), "boxes")
+		})
 	}
 }
 
@@ -418,28 +426,6 @@ func BenchmarkSHA1_PolicySelective(b *testing.B) {
 }
 func BenchmarkSHA1_PolicyAllSecure(b *testing.B) {
 	benchKernel(b, kernels.SHA1(), compiler.PolicyAllSecure)
-}
-
-// BenchmarkCPA_Unmasked runs the correlation power analysis distinguisher
-// over one S-box (the strengthened attack; masked traces yield zero
-// correlation).
-func BenchmarkCPA_Unmasked(b *testing.B) {
-	m, err := desprog.New(compiler.PolicyNone)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := dpa.Collect(m, benchKey, dpa.Config{NumTraces: 32, Seed: 9, MaxCycles: 25_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts.Window = trace.Window{Start: 7_000, End: 25_000}
-	var peak float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := dpa.CPAAttackSBox(ts, i%8)
-		peak = r.Best.Peak
-	}
-	b.ReportMetric(peak, "max-corr")
 }
 
 // BenchmarkDESDecrypt measures the simulated decryption path.

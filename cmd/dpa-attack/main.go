@@ -17,14 +17,7 @@
 //	dpa-attack [-stat dom|cpa] [-order 1|2] [-policy none] [-shuffle]
 //	           [-traces N] [-seed N] [-workers N] [-max N]
 //	           [-key HEX] [-plaintext HEX] [-expect recover|fail]
-//	           [-curve N1,N2,...] [-o attack.json]
-//
-// -curve runs the success-rate-vs-trace-count sweep behind
-// BENCH_keyrecovery.json: for each listed trace count, the attack runs
-// against the unprotected AND the shuffled build (one collection each, at the
-// largest count; smaller counts attack its prefix — the plaintext sequence is
-// drawn up front, so a prefix is exactly the smaller acquisition). -shuffle
-// and -expect are ignored in curve mode.
+//	           [-o attack.json]
 //
 // The exit status reports tool failure, not attack failure: an attack that
 // does not recover the key exits 0 unless -expect recover was given (and
@@ -37,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"desmask/internal/cliconf"
@@ -83,54 +74,6 @@ type attackRecord struct {
 	KeyOK           bool        `json:"key_ok"`
 }
 
-// curveRecord is the BENCH_keyrecovery.json shape: attack success vs trace
-// count, unprotected vs shuffled.
-type curveRecord struct {
-	Stat      string         `json:"stat"`
-	Order     int            `json:"order"`
-	Policy    string         `json:"policy"`
-	Seed      int64          `json:"seed"`
-	MaxCycles uint64         `json:"max_cycles"`
-	Curve     []attackRecord `json:"curve"`
-}
-
-// attack runs the full-key attack over ts and fills a record (without the
-// per-box detail).
-func attack(ts *dpa.TraceSet, st dpa.Stat, key, plaintext, ciphertext uint64) (dpa.FullKeyResult, attackRecord) {
-	start := time.Now()
-	res := dpa.FullKeyAttack(ts, st, plaintext, ciphertext)
-	res.VerifyAgainst(key)
-	rec := attackRecord{
-		Stat: st.String(), Traces: ts.Len(), Seconds: time.Since(start).Seconds(),
-		RecoveredChunks: res.Recovered, KeyOK: res.OK,
-	}
-	if res.OK {
-		rec.Key = fmt.Sprintf("%016X", res.Key)
-	}
-	return res, rec
-}
-
-// prefix views the first n traces of a set — exactly the acquisition a
-// smaller -traces run would have produced, because the plaintext sequence is
-// drawn up front from the seeded generator.
-func prefix(ts *dpa.TraceSet, n int) *dpa.TraceSet {
-	return &dpa.TraceSet{
-		Plaintexts: ts.Plaintexts[:n], Traces: ts.Traces[:n],
-		Window: ts.Window, OrigLens: ts.OrigLens[:n], Truncated: ts.Truncated,
-	}
-}
-
-func writeOut(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", path)
-}
-
 func main() {
 	params := cliconf.DefaultAssess()
 	// Attack-tool defaults: the victim is the unprotected build and 256 traces
@@ -141,7 +84,6 @@ func main() {
 	params.AddFlags(flag.CommandLine)
 	stat := flag.String("stat", "cpa", "distinguisher: dom | cpa (-order 2 selects the second-order centered-square cpa)")
 	expect := flag.String("expect", "", "assert the outcome: recover (exit 1 unless the key is recovered) or fail (exit 1 if it is)")
-	curve := flag.String("curve", "", "comma-separated trace counts: run the success-vs-traces sweep (unprotected and shuffled) instead of one attack")
 	out := flag.String("o", "", "write the attack record as JSON to this file")
 	flag.Parse()
 
@@ -175,11 +117,6 @@ func main() {
 	}
 	ciphertext := des.Encrypt(r.KeyV, r.PlaintextV)
 
-	if *curve != "" {
-		runCurve(r, st, *curve, ciphertext, *out)
-		return
-	}
-
 	m, err := desprog.NewFull(r.CompilerOptions(), energy.DefaultConfig())
 	if err != nil {
 		fatal(err)
@@ -194,9 +131,17 @@ func main() {
 	}
 	collectSec := time.Since(start).Seconds()
 
-	res, rec := attack(ts, st, r.KeyV, r.PlaintextV, ciphertext)
-	rec.Order, rec.Policy, rec.Shuffle = r.OrderV, r.PolicyV.String(), r.ShuffleV
-	rec.Seed, rec.MaxCycles = r.Seed, r.MaxCycles
+	start = time.Now()
+	res := dpa.FullKeyAttack(ts, st, r.PlaintextV, ciphertext)
+	res.VerifyAgainst(r.KeyV)
+	rec := attackRecord{
+		Stat: st.String(), Order: r.OrderV, Policy: r.PolicyV.String(), Shuffle: r.ShuffleV,
+		Traces: ts.Len(), Seed: r.Seed, MaxCycles: r.MaxCycles, Seconds: time.Since(start).Seconds(),
+		RecoveredChunks: res.Recovered, KeyOK: res.OK,
+	}
+	if res.OK {
+		rec.Key = fmt.Sprintf("%016X", res.Key)
+	}
 
 	pol := rec.Policy
 	if rec.Shuffle {
@@ -230,7 +175,14 @@ func main() {
 	}
 
 	if *out != "" {
-		writeOut(*out, rec)
+		data, err := json.MarshalIndent(rec, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Println("wrote", *out)
 	}
 
 	if *expect == "recover" && !res.OK {
@@ -241,58 +193,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dpa-attack: FAIL: expected the countermeasure to hold, but the key was recovered")
 		os.Exit(1)
 	}
-}
-
-// runCurve sweeps trace counts against the unprotected and shuffled builds of
-// the configured policy: one acquisition per build at the largest count,
-// attacked at each prefix.
-func runCurve(r *cliconf.ResolvedAssess, st dpa.Stat, spec string, ciphertext uint64, out string) {
-	var counts []int
-	maxN := 0
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 8 {
-			fatal(fmt.Errorf("bad -curve entry %q: want trace counts >= 8", f))
-		}
-		counts = append(counts, n)
-		if n > maxN {
-			maxN = n
-		}
-	}
-	rec := curveRecord{
-		Stat: st.String(), Order: r.OrderV, Policy: r.PolicyV.String(),
-		Seed: r.Seed, MaxCycles: r.MaxCycles,
-	}
-	for _, shuffle := range []bool{false, true} {
-		opt := r.CompilerOptions()
-		opt.Shuffle = shuffle
-		m, err := desprog.NewFull(opt, energy.DefaultConfig())
-		if err != nil {
-			fatal(err)
-		}
-		ts, err := dpa.Collect(m, r.KeyV, dpa.Config{
-			NumTraces: maxN, Seed: r.Seed, MaxCycles: r.MaxCycles,
-			Workers: r.Workers, Gang: r.Gang,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, n := range counts {
-			_, one := attack(prefix(ts, n), st, r.KeyV, r.PlaintextV, ciphertext)
-			one.Boxes = nil
-			one.Order, one.Policy, one.Shuffle = r.OrderV, rec.Policy, shuffle
-			one.Seed, one.MaxCycles = r.Seed, r.MaxCycles
-			pol := one.Policy
-			if shuffle {
-				pol += "+shuffle"
-			}
-			fmt.Printf("curve %-4s policy=%-16s traces=%4d recovered=%d/8 key=%v (%.1fs)\n",
-				one.Stat, pol, n, one.RecoveredChunks, one.KeyOK, one.Seconds)
-			rec.Curve = append(rec.Curve, one)
-		}
-	}
-	if out == "" {
-		out = "BENCH_keyrecovery.json"
-	}
-	writeOut(out, rec)
 }

@@ -2,13 +2,11 @@ package dpa
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 
 	"desmask/internal/aes"
 	"desmask/internal/kernels"
-	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -77,65 +75,15 @@ func CollectAES(m *kernels.Machine, key []uint32, n int, seed int64, maxCycles i
 }
 
 // AESCPAByte attacks one key byte (0-15) over all 256 guesses, scoring each
-// by peak |correlation| between HW(SBox[pt ^ guess]) and the trace.
+// by peak |correlation| between HW(SBox[pt ^ guess]) and the trace. It runs
+// on the class-table core with the plaintext byte as the class.
 func AESCPAByte(ts *AESTraceSet, byteIdx int) (best, runnerUp uint32, bestPeak, runnerPeak float64) {
-	bestPeak, runnerPeak = -1, -1
-	m := len(ts.Traces)
-	n := ts.Window.End - ts.Window.Start
-	if m == 0 || n <= 0 {
+	if len(ts.Traces) == 0 || ts.Window.Len() <= 0 {
 		return 0, 0, 0, 0
 	}
-	// Per-cycle trace statistics are guess-independent: one streaming pass
-	// through the leakstat accumulator (Mean and M2 per sample), then center
-	// the traces against the final means.
-	v := leakstat.NewVec(n)
-	for _, tr := range ts.Traces {
-		v.AddTrace(tr[ts.Window.Start:ts.Window.End])
-	}
-	centered := make([][]float64, m)
-	for i, tr := range ts.Traces {
-		seg := tr[ts.Window.Start:ts.Window.End]
-		c := make([]float64, n)
-		for j, x := range seg {
-			c[j] = x - v.Mean[j]
-		}
-		centered[i] = c
-	}
-
-	h := make([]float64, m)
-	for guess := uint32(0); guess < 256; guess++ {
-		var hAcc leakstat.Acc
-		for i, pt := range ts.Plaintexts {
-			h[i] = float64(bits.OnesCount8(aes.SBox[byte(pt[byteIdx])^byte(guess)]))
-			hAcc.Add(h[i])
-		}
-		peak := 0.0
-		if hAcc.M2 > 0 {
-			cov := make([]float64, n)
-			for i := range centered {
-				hi := h[i] - hAcc.Mean
-				for j, c := range centered[i] {
-					cov[j] += hi * c
-				}
-			}
-			// Guard the variance product as a whole: masked kernels leave
-			// samples energy-constant (M2 == 0), where the division would
-			// produce NaN; such samples carry no correlation, r = 0.
-			for j := range cov {
-				if d := hAcc.M2 * v.M2[j]; d > 0 {
-					if r := math.Abs(cov[j] / math.Sqrt(d)); r > peak {
-						peak = r
-					}
-				}
-			}
-		}
-		switch {
-		case peak > bestPeak:
-			runnerUp, runnerPeak = best, bestPeak
-			best, bestPeak = guess, peak
-		case peak > runnerPeak:
-			runnerUp, runnerPeak = guess, peak
-		}
-	}
-	return best, runnerUp, bestPeak, runnerPeak
+	t := newClassTable(ts.Traces, ts.Window, 256, StatCPA)
+	t.fill(func(i int) int { return int(byte(ts.Plaintexts[i][byteIdx])) })
+	var scores [256]float64
+	b, r, _ := t.rank(scores[:], func(g, c int) float64 { return float64(bits.OnesCount8(aes.SBox[c^g])) })
+	return b.Guess, r.Guess, b.Peak, r.Peak
 }

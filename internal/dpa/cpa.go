@@ -1,13 +1,5 @@
 package dpa
 
-import (
-	"math"
-	"math/bits"
-
-	"desmask/internal/des"
-	"desmask/internal/leakstat"
-)
-
 // CPA implements correlation power analysis — the natural strengthening of
 // the difference-of-means DPA the paper defends against (its "higher-order
 // power analysis techniques" that defeat naive countermeasures like random
@@ -19,84 +11,20 @@ import (
 
 // CorrelationTrace returns the per-cycle Pearson correlation between the
 // Hamming weight of the predicted S-box output (for one sub-key guess) and
-// the measured energy.
+// the measured energy. It is the one-guess view of the class-table core.
 func CorrelationTrace(ts *TraceSet, box int, guess uint32) []float64 {
-	n := ts.Window.Len()
-	m := len(ts.Traces)
-	if m == 0 || n <= 0 {
+	if ts.Len() == 0 || ts.Window.Len() <= 0 {
 		return nil
 	}
-
-	// Power-model predictions through the leakstat scalar accumulator
-	// (hAcc.M2 is the sum of squared deviations, the Pearson denominator).
-	h := make([]float64, m)
-	var hAcc leakstat.Acc
-	for i, pt := range ts.Plaintexts {
-		h[i] = float64(bits.OnesCount8(des.FirstRoundSBoxOutput(pt, box, guess)))
-		hAcc.Add(h[i])
-	}
-	out := make([]float64, n)
-	if hAcc.M2 == 0 {
-		return out // constant prediction carries no signal
-	}
-
-	// Per-cycle trace mean and M2 in one streaming pass.
-	v := leakstat.NewVec(n)
-	for _, tr := range ts.Traces {
-		v.AddTrace(tr[ts.Window.Start:ts.Window.End])
-	}
-
-	// Covariance against the centered prediction.
-	cov := make([]float64, n)
-	for i, tr := range ts.Traces {
-		hi := h[i] - hAcc.Mean
-		seg := tr[ts.Window.Start:ts.Window.End]
-		for j, x := range seg {
-			cov[j] += hi * (x - v.Mean[j])
-		}
-	}
-	// r = cov / sqrt(hM2 * traceM2), with the product guarded as a whole:
-	// masked traces make whole stretches of samples energy-constant
-	// (traceM2 == 0), where the unguarded division yields NaN and poisons
-	// every peak scan downstream; a zero-variance sample simply carries no
-	// correlation, r = 0.
-	for j := range out {
-		if d := hAcc.M2 * v.M2[j]; d > 0 {
-			out[j] = cov[j] / math.Sqrt(d)
-		}
-	}
+	out, _ := guessTrace(ts, StatCPA, box, -1, guess)
 	return out
 }
 
 // CPAAttackSBox scores every 6-bit sub-key guess of one S-box by its peak
 // absolute correlation.
 func CPAAttackSBox(ts *TraceSet, box int) BoxResult {
-	res := BoxResult{Box: box, Bit: -1, Best: GuessScore{Peak: -1}, RunnerUp: GuessScore{Peak: -1}}
-	for guess := uint32(0); guess < 64; guess++ {
-		corr := CorrelationTrace(ts, box, guess)
-		peak := 0.0
-		for _, v := range corr {
-			if a := math.Abs(v); a > peak {
-				peak = a
-			}
-		}
-		res.AllScores[guess] = peak
-		switch {
-		case peak > res.Best.Peak:
-			res.RunnerUp = res.Best
-			res.Best = GuessScore{Guess: guess, Peak: peak}
-		case peak > res.RunnerUp.Peak:
-			res.RunnerUp = GuessScore{Guess: guess, Peak: peak}
-		}
-	}
-	return res
+	return desTable(ts, StatCPA).attackBox(ts.Plaintexts, box, -1)
 }
 
 // CPAAttackAll attacks all eight S-boxes with the correlation distinguisher.
-func CPAAttackAll(ts *TraceSet) [8]BoxResult {
-	var out [8]BoxResult
-	for box := 0; box < 8; box++ {
-		out[box] = CPAAttackSBox(ts, box)
-	}
-	return out
-}
+func CPAAttackAll(ts *TraceSet) [8]BoxResult { return attackAll(ts, StatCPA, -1) }

@@ -1,12 +1,6 @@
 package dpa
 
-import (
-	"math"
-	"math/bits"
-
-	"desmask/internal/des"
-	"desmask/internal/leakstat"
-)
+import "desmask/internal/des"
 
 // Second-order (centered-product) CPA — the attack that breaks first-order
 // boolean masking. A masked trace carries each sensitive value v as the pair
@@ -16,100 +10,30 @@ import (
 // shares in one cycle) has an expectation that depends on HW(v) again —
 // Messerges' classic second-order DPA, phrased as CPA. The preprocessing
 // here is univariate centered-square: y_j = (x_j - mean_j)^2, correlated
-// against the usual Hamming-weight model. It needs only the per-cycle means
-// (one streaming pass, O(window) memory) before the correlation pass.
+// against the usual Hamming-weight model.
 
 // CorrelationTrace2 returns the per-cycle Pearson correlation between the
 // Hamming weight of the predicted round-1 S-box output (for one sub-key
 // guess) and the centered-squared energy (x - mean)^2 — the univariate
-// second-order distinguisher.
+// second-order distinguisher. It is the one-guess view of the class-table
+// core.
 func CorrelationTrace2(ts *TraceSet, box int, guess uint32) []float64 {
-	n := ts.Window.Len()
-	m := len(ts.Traces)
-	if m == 0 || n <= 0 {
+	if ts.Len() == 0 || ts.Window.Len() <= 0 {
 		return nil
 	}
-
-	h := make([]float64, m)
-	var hAcc leakstat.Acc
-	for i, pt := range ts.Plaintexts {
-		h[i] = float64(bits.OnesCount8(des.FirstRoundSBoxOutput(pt, box, guess)))
-		hAcc.Add(h[i])
-	}
-	out := make([]float64, n)
-	if hAcc.M2 == 0 {
-		return out // constant prediction carries no signal
-	}
-
-	// Pass 1: per-cycle mean of the raw traces.
-	raw := leakstat.NewVec(n)
-	for _, tr := range ts.Traces {
-		raw.AddTrace(tr[ts.Window.Start:ts.Window.End])
-	}
-
-	// Pass 2: mean and M2 of the preprocessed samples y = (x - mean)^2, plus
-	// their covariance with the centered prediction, all streamed per cycle.
-	yMean := make([]float64, n)
-	yM2 := make([]float64, n)
-	cov := make([]float64, n)
-	inv := 1 / float64(m)
-	for i, tr := range ts.Traces {
-		seg := tr[ts.Window.Start:ts.Window.End]
-		hi := h[i] - hAcc.Mean
-		for j, x := range seg {
-			d := x - raw.Mean[j]
-			y := d * d
-			dy := y - yMean[j]
-			yMean[j] += dy * inv
-			yM2[j] += dy * (y - yMean[j])
-			cov[j] += hi * y
-		}
-	}
-	// cov accumulated sum(h_c * y); recenter by the y mean (sum(h_c) == 0
-	// makes the correction exact): cov_c = cov - m*mean(h_c)*mean(y) = cov.
-	// The Welford mean above is the final mean, so centering y after the
-	// fact costs nothing; the guard mirrors CorrelationTrace.
-	for j := range out {
-		if d := hAcc.M2 * yM2[j]; d > 0 {
-			out[j] = cov[j] / math.Sqrt(d)
-		}
-	}
+	out, _ := guessTrace(ts, StatCPA2, box, -2, guess)
 	return out
 }
 
 // CPA2AttackSBox scores every 6-bit sub-key guess of one S-box by its peak
 // absolute second-order correlation.
 func CPA2AttackSBox(ts *TraceSet, box int) BoxResult {
-	res := BoxResult{Box: box, Bit: -2, Best: GuessScore{Peak: -1}, RunnerUp: GuessScore{Peak: -1}}
-	for guess := uint32(0); guess < 64; guess++ {
-		corr := CorrelationTrace2(ts, box, guess)
-		peak := 0.0
-		for _, v := range corr {
-			if a := math.Abs(v); a > peak {
-				peak = a
-			}
-		}
-		res.AllScores[guess] = peak
-		switch {
-		case peak > res.Best.Peak:
-			res.RunnerUp = res.Best
-			res.Best = GuessScore{Guess: guess, Peak: peak}
-		case peak > res.RunnerUp.Peak:
-			res.RunnerUp = GuessScore{Guess: guess, Peak: peak}
-		}
-	}
-	return res
+	return desTable(ts, StatCPA2).attackBox(ts.Plaintexts, box, -2)
 }
 
 // CPA2AttackAll attacks all eight S-boxes with the second-order
 // distinguisher.
-func CPA2AttackAll(ts *TraceSet) [8]BoxResult {
-	var out [8]BoxResult
-	for box := 0; box < 8; box++ {
-		out[box] = CPA2AttackSBox(ts, box)
-	}
-	return out
-}
+func CPA2AttackAll(ts *TraceSet) [8]BoxResult { return attackAll(ts, StatCPA2, -2) }
 
 // Chunks extracts the eight best-guess 6-bit sub-key chunks of a full-key
 // attack, in des.RecoverKey's order (chunk 0 feeds S-box 1).

@@ -2,6 +2,7 @@ package dpa
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -74,6 +75,31 @@ func TestCorrelationTrace2Properties(t *testing.T) {
 	for i, v := range corr {
 		if math.IsNaN(v) || v < -1.0000001 || v > 1.0000001 {
 			t.Fatalf("sample %d: correlation %v outside [-1,1]", i, v)
+		}
+	}
+	// Each sample is the two-pass Pearson correlation of HW against
+	// y = (x - mean)^2.
+	m := float64(ts.Len())
+	for j := range corr {
+		var mean, yMean, hMean float64
+		for i, tr := range ts.Traces {
+			mean += tr[j] / m
+			hMean += float64(bits.OnesCount8(des.FirstRoundSBoxOutput(ts.Plaintexts[i], 0, truth))) / m
+		}
+		y := make([]float64, ts.Len())
+		for i, tr := range ts.Traces {
+			y[i] = (tr[j] - mean) * (tr[j] - mean)
+			yMean += y[i] / m
+		}
+		var cov, hM2, yM2 float64
+		for i, pt := range ts.Plaintexts {
+			dh := float64(bits.OnesCount8(des.FirstRoundSBoxOutput(pt, 0, truth))) - hMean
+			cov += dh * (y[i] - yMean)
+			hM2 += dh * dh
+			yM2 += (y[i] - yMean) * (y[i] - yMean)
+		}
+		if want := cov / math.Sqrt(hM2*yM2); math.Abs(corr[j]-want) > 1e-9 {
+			t.Errorf("sample %d: r=%v, two-pass Pearson %v", j, corr[j], want)
 		}
 	}
 	if CorrelationTrace2(&TraceSet{}, 0, 0) != nil {

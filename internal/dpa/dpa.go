@@ -16,7 +16,6 @@ import (
 
 	"desmask/internal/des"
 	"desmask/internal/desprog"
-	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -119,30 +118,17 @@ func DifferenceOfMeans(ts *TraceSet, box, bit int, guess uint32) []float64 {
 // DifferenceOfMeansDetail is DifferenceOfMeans plus the partition sizes, so
 // callers can tell a flat differential (masked traces) from a degenerate one
 // (a selection bit that never split — n1 or n0 zero — where the difference
-// is undefined and reported as all zeros rather than NaN/Inf). The group
-// means come from the leakstat accumulators, sharing the numerics of the
-// streaming TVLA engine.
+// is undefined and reported as all zeros rather than NaN/Inf). It is the
+// one-guess view of the class-table core (classes.go).
 func DifferenceOfMeansDetail(ts *TraceSet, box, bit int, guess uint32) (dom []float64, n1, n0 int) {
-	n := ts.Window.Len()
-	g1, g0 := leakstat.NewVec(n), leakstat.NewVec(n)
-	for i, tr := range ts.Traces {
-		out := des.FirstRoundSBoxOutput(ts.Plaintexts[i], box, guess)
-		seg := tr[ts.Window.Start:ts.Window.End]
-		if out>>(3-bit)&1 == 1 {
-			g1.AddTrace(seg)
-		} else {
-			g0.AddTrace(seg)
+	dom, t := guessTrace(ts, StatDoM, box, bit, guess)
+	h := predict(StatDoM, box, bit)
+	for k, c := range t.cls {
+		if h(int(guess), c) == 1 {
+			n1 += int(t.cnt[k])
 		}
 	}
-	n1, n0 = int(g1.N()), int(g0.N())
-	dom = make([]float64, n)
-	if n1 == 0 || n0 == 0 {
-		return dom, n1, n0 // degenerate partition carries no signal
-	}
-	for j := range dom {
-		dom[j] = g1.Mean[j] - g0.Mean[j]
-	}
-	return dom, n1, n0
+	return dom, n1, ts.Len() - n1
 }
 
 // GuessScore is the peak differential magnitude of one sub-key guess.
@@ -158,10 +144,12 @@ type BoxResult struct {
 	Best      GuessScore
 	RunnerUp  GuessScore
 	AllScores [64]float64
-	// Degenerate counts guesses whose selection bit never split the trace
-	// set (one group empty — inevitable with very few traces). Such guesses
-	// score zero by definition; a result where most guesses are degenerate
-	// says the set is too small to attack, not that the target is masked.
+	// Degenerate counts guesses whose prediction is constant over the trace
+	// set: for DoM a selection bit that never split it (one group empty),
+	// for CPA and CPA2 a constant Hamming weight. Both are inevitable with
+	// very few traces. Such guesses score zero by definition; a result where
+	// most guesses are degenerate says the set is too small to attack, not
+	// that the target is masked.
 	Degenerate int
 }
 
@@ -177,38 +165,11 @@ func (r BoxResult) Margin() float64 {
 // AttackSBox runs the difference-of-means attack on every 6-bit guess for
 // one S-box, scoring each guess by its peak |DoM|.
 func AttackSBox(ts *TraceSet, box, bit int) BoxResult {
-	res := BoxResult{Box: box, Bit: bit, Best: GuessScore{Peak: -1}, RunnerUp: GuessScore{Peak: -1}}
-	for guess := uint32(0); guess < 64; guess++ {
-		dom, n1, n0 := DifferenceOfMeansDetail(ts, box, bit, guess)
-		if n1 == 0 || n0 == 0 {
-			res.Degenerate++
-		}
-		peak := 0.0
-		for _, v := range dom {
-			if a := math.Abs(v); a > peak {
-				peak = a
-			}
-		}
-		res.AllScores[guess] = peak
-		switch {
-		case peak > res.Best.Peak:
-			res.RunnerUp = res.Best
-			res.Best = GuessScore{Guess: guess, Peak: peak}
-		case peak > res.RunnerUp.Peak:
-			res.RunnerUp = GuessScore{Guess: guess, Peak: peak}
-		}
-	}
-	return res
+	return desTable(ts, StatDoM).attackBox(ts.Plaintexts, box, bit)
 }
 
 // AttackAll attacks all eight S-boxes using output bit `bit`.
-func AttackAll(ts *TraceSet, bit int) [8]BoxResult {
-	var out [8]BoxResult
-	for box := 0; box < 8; box++ {
-		out[box] = AttackSBox(ts, box, bit)
-	}
-	return out
-}
+func AttackAll(ts *TraceSet, bit int) [8]BoxResult { return attackAll(ts, StatDoM, bit) }
 
 // Verify compares attack results against the true key, returning how many of
 // the eight 6-bit sub-key chunks were recovered.

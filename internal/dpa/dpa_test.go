@@ -443,6 +443,15 @@ func TestDegenerateSingleTraceSet(t *testing.T) {
 			t.Fatalf("degenerate DoM %v, want zeros", dom)
 		}
 	}
+	// Every distinguisher reports the set as too small, not as masked: one
+	// trace makes every guess's prediction constant.
+	for _, stat := range []Stat{StatDoM, StatCPA, StatCPA2} {
+		for _, b := range FullKeyAttack(ts, stat, 0, 0).Boxes {
+			if b.Degenerate != 64 {
+				t.Errorf("%v box %d: Degenerate=%d, want 64 for a 1-trace set", stat, b.Box, b.Degenerate)
+			}
+		}
+	}
 	// A healthy set must report zero degenerate guesses.
 	setup(t)
 	if r := AttackSBox(unmaskedSet, 0, 0); r.Degenerate != 0 {
