@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	simrun [-max N] [-blocks] [-trace out.csv] [-bucket N] [-listing] [-regs] prog.s
+//	simrun [-max N] [-trace out.csv] [-bucket N] [-listing] [-regs] prog.s
 //	simrun -c [-policy selective] [-isa pisa] [-O] prog.c
 package main
 
@@ -31,7 +31,6 @@ func main() {
 	isaStr := flag.String("isa", "", "target ISA backend with -c: "+isa.TargetUsage())
 	optimize := flag.Bool("O", false, "enable the optimization passes with -c")
 	maxCycles := flag.Uint64("max", 10_000_000, "maximum simulated cycles")
-	blocks := flag.Bool("blocks", false, "run on the block-compiled engine (no per-cycle energy; ignored with -trace)")
 	traceOut := flag.String("trace", "", "write the per-cycle energy trace to this CSV file")
 	bucket := flag.Int("bucket", 1, "aggregate the trace every N cycles (with -trace)")
 	listing := flag.Bool("listing", false, "print the disassembly listing before running")
@@ -82,15 +81,11 @@ func main() {
 		fmt.Print(prog.Listing())
 	}
 	runner := sim.NewRunner(prog, energy.DefaultConfig())
-	res := runner.Run(sim.Job{MaxCycles: *maxCycles, Trace: *traceOut != "", Blocks: *blocks})
+	res := runner.Run(sim.Job{MaxCycles: *maxCycles, Trace: *traceOut != ""})
 	st := res.Stats
 	fmt.Printf("halted=%v cycles=%d insts=%d secure-insts=%d stalls=%d flushes=%d\n",
 		res.Done, st.Cycles, st.Insts, st.SecureInst, st.Stalls, st.Flushes)
-	if runner.BlockRuns() > 0 {
-		fmt.Printf("static-energy=%.3f uJ (block mode: data-independent floor, no meter attached)\n", st.StaticPJ/1e6)
-	} else {
-		fmt.Printf("energy=%.3f uJ avg=%.2f pJ/cycle\n", st.Energy.Total/1e6, st.AvgPJPerCycle())
-	}
+	fmt.Printf("energy=%.3f uJ avg=%.2f pJ/cycle\n", st.Energy.Total/1e6, st.AvgPJPerCycle())
 	fmt.Printf("exit status ($v0) = %d\n", int32(res.Regs[isa.V0]))
 	runErr := res.Err
 	if runErr == nil && !res.Done {

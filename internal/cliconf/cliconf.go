@@ -1,9 +1,9 @@
 // Package cliconf centralizes the parameter surface shared by the
-// command-line tools and the leakd service. The window/workers/trials knobs
+// command-line tools and the leakd service. The window/workers knobs
 // used to be parsed (and bounds-checked) independently by cmd/tvla,
-// cmd/simbench, cmd/leakcheck and cmd/desenc; they are defined once here,
-// so a parameter accepted by a CLI flag and the same parameter arriving in
-// a leakd HTTP request pass through identical validation.
+// cmd/leakcheck and cmd/desenc; they are defined once here, so a parameter
+// accepted by a CLI flag and the same parameter arriving in a leakd HTTP
+// request pass through identical validation.
 package cliconf
 
 import (
@@ -432,47 +432,4 @@ func (a Assess) Normalize() Assess {
 		}
 	}
 	return a
-}
-
-// Batch is the shared execution-shape surface of the batch benchmarks and
-// encrypt CLIs: how many jobs, how many verification trials, how many
-// workers, and the per-job cycle budget.
-type Batch struct {
-	// Traces is the batch size.
-	Traces int `json:"traces"`
-	// Trials is the verification/measurement repetition count.
-	Trials int `json:"trials"`
-	// Workers sizes the worker pool (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
-	// MaxCycles is the per-job cycle budget (0 = runner default).
-	MaxCycles uint64 `json:"max_cycles"`
-	// Gang is the lockstep gang width for batch execution (<= 1 = scalar).
-	Gang int `json:"gang,omitempty"`
-}
-
-// AddFlags registers the batch parameters on a flag set, using the
-// receiver's current values as defaults.
-func (b *Batch) AddFlags(fs *flag.FlagSet) {
-	fs.IntVar(&b.Traces, "traces", b.Traces, "traces to collect per batch configuration")
-	fs.IntVar(&b.Trials, "trials", b.Trials, "repetitions per configuration")
-	fs.IntVar(&b.Workers, "workers", b.Workers, "worker pool size (0 = GOMAXPROCS)")
-	fs.Uint64Var(&b.MaxCycles, "max", b.MaxCycles, "cycle budget per job (0 = runner default)")
-	fs.IntVar(&b.Gang, "gang", b.Gang, "lockstep gang width (<= 1 = scalar execution)")
-}
-
-// Validate bounds-checks the batch parameters.
-func (b Batch) Validate() error {
-	if b.Traces < 0 {
-		return fmt.Errorf("traces must be >= 0, got %d", b.Traces)
-	}
-	if b.Trials < 0 {
-		return fmt.Errorf("trials must be >= 0, got %d", b.Trials)
-	}
-	if b.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", b.Workers)
-	}
-	if b.Gang < 0 {
-		return fmt.Errorf("gang must be >= 0, got %d", b.Gang)
-	}
-	return nil
 }

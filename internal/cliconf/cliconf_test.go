@@ -293,14 +293,3 @@ func TestNewFlagsRoundTrip(t *testing.T) {
 		t.Fatalf("resolved %+v", r)
 	}
 }
-
-func TestBatchValidate(t *testing.T) {
-	if err := (Batch{Traces: 10, Trials: 2}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Batch{{Traces: -1}, {Trials: -1}, {Workers: -1}} {
-		if err := b.Validate(); err == nil {
-			t.Fatalf("Batch %+v validated", b)
-		}
-	}
-}

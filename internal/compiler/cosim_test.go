@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"desmask/internal/compiler"
+	"desmask/internal/des"
 	"desmask/internal/desprog"
 	"desmask/internal/energy"
 	"desmask/internal/kernels"
@@ -59,7 +60,8 @@ func checkOutside(t *testing.T, res *compiler.Result, secretGlobal string, secre
 }
 
 // TestCosimDESOptimized cross-checks the optimized DES build against the
-// unoptimized one under every policy: same ciphertexts, same leak verdict.
+// unoptimized one under every policy: same ciphertexts, both equal to the
+// reference cipher, same leak verdict.
 func TestCosimDESOptimized(t *testing.T) {
 	inputs := []struct{ key, plain uint64 }{
 		{0x133457799BBCDFF1, 0x0123456789ABCDEF},
@@ -86,6 +88,10 @@ func TestCosimDESOptimized(t *testing.T) {
 			if cPlain != cOpt {
 				t.Errorf("policy %v key %016X: optimized cipher %016X != plain %016X",
 					policy, in.key, cOpt, cPlain)
+			}
+			if want := des.Encrypt(in.key, in.plain); cPlain != want {
+				t.Errorf("policy %v key %016X: cipher %016X != reference %016X",
+					policy, in.key, cPlain, want)
 			}
 		}
 		vPlain := checkOutside(t, plain.Res, "key", 64, "f_output_permutation")

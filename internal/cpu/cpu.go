@@ -51,10 +51,9 @@ func (e *CycleLimitError) Is(target error) bool { return target == ErrCycleLimit
 
 // ExecUOp computes the EX-stage result of one micro-op: the ALU output (or
 // memory address), plus branch/jump resolution. It is shared by the pipeline
-// (internal/gang), the RefModel golden model, the block-compiled engine
-// (internal/block) and the taint checker (internal/leakcheck), so that
-// co-simulation isolates pipeline-control bugs and no executor can drift from
-// the cycle-accurate EX semantics.
+// (internal/gang), the RefModel golden model and the taint checker
+// (internal/leakcheck), so that co-simulation isolates pipeline-control bugs
+// and no executor can drift from the cycle-accurate EX semantics.
 func ExecUOp(u *isa.UOp, a, b uint32) (res, target uint32, taken bool, err error) {
 	switch u.Class {
 	case isa.ClassAdd:

@@ -6,15 +6,12 @@ import "fmt"
 // the constants that used to live implicitly in internal/cpu's five-stage
 // control logic (branch resolution stage, load-use latency, flush depth) plus
 // the fill/drain latencies that position an instruction's EX cycle within a
-// run. Hoisting them onto the Target makes block-effect precomputation
-// (internal/block) per-target: a block's stall count, redirect penalty and
-// retire timing are derived from this spec, never from hard-coded numbers.
+// run.
 //
 // The cycle-accurate pipeline in internal/gang implements exactly one geometry —
 // the classic five-stage in-order IF/ID/EX/MEM/WB machine — and validates at
 // construction that the program's target declares it (FiveStage). A target
-// declaring any other geometry is rejected by the pipelined core and by the
-// block translator, so the two engines can never silently disagree about
+// declaring any other geometry is rejected rather than run with the wrong
 // timing.
 type PipelineSpec struct {
 	// Stages is the pipeline depth (5: IF, ID, EX, MEM, WB).
@@ -54,10 +51,6 @@ var FiveStage = PipelineSpec{
 	FillLatency:        2,
 	DrainLatency:       2,
 }
-
-// RedirectPenalty returns the EX-to-EX distance between a taken control
-// transfer and its target: the squashed slots plus the transfer's own slot.
-func (s PipelineSpec) RedirectPenalty() int { return s.FlushSlots + 1 }
 
 // Validate rejects specs with non-positive or mutually inconsistent fields.
 func (s PipelineSpec) Validate() error {

@@ -1,7 +1,7 @@
 package leakstat
 
-// Scalar-vs-gang assessment throughput on the fixed-vs-random DES workload —
-// the measurement behind BENCH_gang.json (cmd/simbench -gang). Run with
+// Scalar-vs-gang assessment throughput on the fixed-vs-random DES workload.
+// Run with
 //
 //	go test -bench Assess -benchtime 3x ./internal/leakstat
 //

@@ -386,7 +386,6 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 			// source-provided trace or probe requests are overridden,
 			// never combined.
 			job.Trace = false
-			job.Blocks = false
 			job.Probe = sim.ProbeSpec{}
 			jobs = append(jobs, job)
 			idx = append(idx, i)

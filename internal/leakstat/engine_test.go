@@ -96,12 +96,16 @@ func TestAssessShardCountChangesNothing(t *testing.T) {
 }
 
 // TestAssessDESVerdicts: unprotected DES leaks the key through the key
-// permutation's energy; the selective policy's masked build is energy-flat
-// across keys — t identically zero over the whole window.
+// permutation's energy; the selective and all-secure policies' masked builds
+// are energy-flat across keys — t identically zero over the whole window.
 func TestAssessDESVerdicts(t *testing.T) {
 	none := assessDES(t, compiler.PolicyNone, 16, 4, 0, 6000)
 	if !none.Leak || none.MaxAbsT <= DefaultThreshold {
 		t.Fatalf("unprotected DES: max|t|=%g, want leak above %g", none.MaxAbsT, DefaultThreshold)
+	}
+	all := assessDES(t, compiler.PolicyAllSecure, 16, 4, 0, 6000)
+	if all.Leak || all.MaxAbsT != 0 {
+		t.Fatalf("all-secure DES: max|t|=%g leak=%v, want exactly 0 / no leak", all.MaxAbsT, all.Leak)
 	}
 	sel := assessDES(t, compiler.PolicySelective, 16, 4, 0, 6000)
 	if sel.Leak || sel.MaxAbsT != 0 {

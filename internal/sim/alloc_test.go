@@ -1,11 +1,10 @@
 package sim_test
 
 // Steady-state allocation regression. After the first (warm-up) run, a
-// session worker reuses its CPU, meter, trace recorder and — when the job
-// shape repeats — its attached probe set, so the only allocations left per
-// encryption are the caller-owned pieces of the Result: the memory
-// read-back (outer slice + words) and, for traced jobs, the trace snapshot
-// (struct + totals + PCs). Block-mode runs carry the same read-back cost.
+// session worker reuses its one-lane pipeline — lane memory, energy meter
+// and trace buffers — so the only allocations left per encryption are the
+// caller-owned pieces of the Result: the memory read-back (outer slice +
+// words) and, for traced jobs, the trace snapshot (struct + totals + PCs).
 
 import (
 	"testing"
@@ -26,19 +25,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		capture bool
-		blocks  bool
 		max     float64
 	}{
-		{"untraced", false, false, 2},
-		{"traced", true, false, 5},
-		{"blocks", false, true, 2},
+		{"untraced", false, 2},
+		{"traced", true, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job, err := m.EncryptJob(0x133457799BBCDFF1, 0x0123456789ABCDEF, 0, tc.capture)
 			if err != nil {
 				t.Fatal(err)
 			}
-			job.Blocks = tc.blocks
 			if res := r.Run(job); res.Err != nil || !res.Done {
 				t.Fatalf("warm-up: done=%v err=%v", res.Done, res.Err)
 			}

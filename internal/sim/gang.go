@@ -17,16 +17,15 @@ import (
 // Exactness contract: a lane either completes in lockstep bit-identical to a
 // one-lane run (registers, memory, stats, per-cycle energy observation), or
 // is peeled by the engine's deopt contract and transparently replayed as a
-// one-lane run, which is exact by construction. Like block mode, gang-mode
-// results carry no Stats.Energy/PeakPJ accumulation, so a result never
-// reveals which path produced it.
+// one-lane run, which is exact by construction. Gang-mode results carry no
+// Stats.Energy/PeakPJ accumulation — not even a replayed or single lane — so
+// a result never reveals which path produced it.
 
-// gangEligible reports whether a job may join a gang: it must not request
-// block mode (a different engine), and must attach no probes — probes
-// observe one lane's cycles. Traced jobs are eligible: the engine records
-// each lane's trace.
+// gangEligible reports whether a job may join a gang: it must attach no
+// probes — probes observe one lane's cycles. Traced jobs are eligible: the
+// engine records each lane's trace.
 func (r *Runner) gangEligible(job *Job) bool {
-	return !job.Blocks && job.Probe.isZero()
+	return job.Probe.isZero()
 }
 
 // RunGangSampled executes up to GangWidth same-program jobs as one lockstep
@@ -35,8 +34,8 @@ func (r *Runner) gangEligible(job *Job) bool {
 // values; bufs may be nil for no sampling). Results are returned in job
 // order and are bit-identical to one-lane runs — lanes the gang cannot
 // complete exactly are replayed as one-lane runs with the same sampling, and
-// a single job is a one-lane run. Jobs must be gang-shaped: no Blocks, no
-// Trace, no ProbeSpec (serve those through Run/RunBatch instead).
+// a single job is a one-lane run. Jobs must be gang-shaped: no Trace, no
+// ProbeSpec (serve those through Run/RunBatch instead).
 //
 // This is the assessment hot path: leakstat feeds fixed-vs-random trace
 // populations through it shard by shard, reusing the sample buffers across

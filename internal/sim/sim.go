@@ -32,12 +32,10 @@ import (
 	"sync/atomic"
 
 	"desmask/internal/asm"
-	"desmask/internal/block"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
 	"desmask/internal/isa"
-	"desmask/internal/mem"
 	"desmask/internal/trace"
 )
 
@@ -64,16 +62,13 @@ type Read struct {
 type Stats struct {
 	cpu.Stats
 	// Energy is the run's accumulated energy, total and per component (pJ).
-	// Zero for block-mode runs, which attach no meter.
+	// Zero for gang lanes — RunGangSampled and the probe-free jobs of a
+	// batch with Options.GangWidth > 1, even a gang of one — which observe
+	// energy only through a trace or a sample window.
 	Energy energy.CycleEnergy
-	// PeakPJ is the largest single-cycle energy of the run. Zero for
-	// block-mode runs.
+	// PeakPJ is the largest single-cycle energy of the run. Zero for gang
+	// lanes.
 	PeakPJ float64
-	// StaticPJ is the data-independent energy floor of a block-mode run —
-	// the per-block precomputed statics plus clock energy, a strict lower
-	// bound on what the meter would report (see energy.StaticUOpPJ). Zero
-	// for cycle-mode runs, whose exact total is in Energy.
-	StaticPJ float64
 }
 
 // AvgPJPerCycle returns the mean per-cycle energy.
@@ -135,8 +130,7 @@ func PerRunMeterProbes(fn func(meter *energy.Probe) []cpu.Probe) ProbeSpec {
 func (s ProbeSpec) IsShared() bool { return len(s.shared) > 0 }
 
 // isZero reports whether the spec attaches nothing — the condition under
-// which a job needs no per-cycle observation and is eligible for the
-// block-compiled engine or a gang.
+// which a job needs no per-cycle observation and is eligible for a gang.
 func (s ProbeSpec) isZero() bool {
 	return len(s.shared) == 0 && s.perRun == nil && s.perMeter == nil
 }
@@ -169,15 +163,12 @@ type Job struct {
 	// matching cpu.ErrCycleLimit) instead of the default Done=false partial
 	// run, for callers that consider an unfinished program a failure.
 	RequireHalt bool
-	// Blocks requests the block-compiled engine (internal/block) for this
-	// job. The request is honoured only when the job observes no cycles —
-	// no trace capture, no probes — and the program's target is block
-	// compilable; otherwise, and whenever the engine deoptimizes (a fault, a
-	// cycle budget expiring mid-run), the job runs on the cycle-accurate
-	// pipeline exactly as if Blocks were false. Either way the
-	// Result is bit-identical to a cycle-accurate run, except that
-	// Stats.Energy/PeakPJ are zero in block mode (no meter is attached) and
-	// Stats.StaticPJ carries the data-independent energy floor instead.
+	// Blocks has no effect: every job runs on the metered pipeline.
+	//
+	// Deprecated: the block-compiled engine it once selected is gone. The
+	// field stays only so that code which still assigns it, the perfbench
+	// benchmark module among it, keeps compiling; it is deleted once that
+	// assignment is.
 	Blocks bool
 	// Probe declares the job's extra probes; see ProbeSpec. Probes run after
 	// the pipeline has metered and recorded each cycle.
@@ -244,8 +235,8 @@ type Options struct {
 	// GangWidth lanes sharing one fetch/decode/control computation per cycle
 	// (internal/gang), with per-lane deopt replay as a one-lane run.
 	// Results are bit-identical to scalar execution for any width and worker
-	// count, except that — like block mode — gang-mode results carry no
-	// Stats.Energy/PeakPJ accumulation. <= 1 disables gangs.
+	// count, except that gang-mode results carry no Stats.Energy/PeakPJ
+	// accumulation. <= 1 disables gangs.
 	GangWidth int
 }
 
@@ -297,11 +288,6 @@ type Runner struct {
 	// cycles counts every simulated cycle the session has executed, for
 	// service observability (leakd's /metrics).
 	cycles atomic.Uint64
-	// blockRuns and blockDeopts count jobs completed by the block-compiled
-	// engine and jobs that requested it but deoptimized onto the
-	// cycle-accurate pipeline, for observability and the deopt-contract tests.
-	blockRuns   atomic.Uint64
-	blockDeopts atomic.Uint64
 	// gangRuns and gangDeopts count lanes completed in lockstep by a gang of
 	// two or more jobs and lanes peeled off and replayed as one-lane runs.
 	gangRuns   atomic.Uint64
@@ -330,14 +316,6 @@ func (r *Runner) Config() energy.Config { return r.cfg }
 // session since construction, across all runs and batches.
 func (r *Runner) CyclesSimulated() uint64 { return r.cycles.Load() }
 
-// BlockRuns returns the number of jobs completed by the block-compiled
-// engine since construction.
-func (r *Runner) BlockRuns() uint64 { return r.blockRuns.Load() }
-
-// BlockDeopts returns the number of jobs that requested block mode but were
-// replayed on the cycle-accurate pipeline after a deoptimization.
-func (r *Runner) BlockDeopts() uint64 { return r.blockDeopts.Load() }
-
 // GangRuns returns the number of lanes completed in lockstep by gangs of two
 // or more jobs since construction.
 func (r *Runner) GangRuns() uint64 { return r.gangRuns.Load() }
@@ -347,13 +325,10 @@ func (r *Runner) GangRuns() uint64 { return r.gangRuns.Load() }
 func (r *Runner) GangDeopts() uint64 { return r.gangDeopts.Load() }
 
 // worker bundles the per-worker reusable simulator state: the pipeline
-// (one lane for scalar jobs, widened on first gang use) and, created on
-// first use, the block-compiled engine with its own memory.
+// (one lane for scalar jobs, widened on first gang use) and the
+// mirror-grouping scratch of gang runs.
 type worker struct {
 	e *gang.Engine
-
-	blocks       *block.Engine
-	blocksBroken bool // engine construction failed; don't retry per job
 
 	gangReps   []int // mirror-grouping scratch: engine lane -> job index
 	gangLaneOf []int // mirror-grouping scratch: job index -> engine lane
@@ -400,77 +375,11 @@ func (r *Runner) reserveHint(budget uint64) int {
 	return hint
 }
 
-// blockEligible reports whether a job may run on the block-compiled engine:
-// it must ask for it, observe no cycles (no trace, no probes), and the
-// program's target must declare a block-compilable pipeline geometry.
-func (r *Runner) blockEligible(job *Job) bool {
-	return job.Blocks && !job.Trace && job.Probe.isZero() &&
-		isa.BlockCompilable(r.prog.TargetOrDefault())
-}
-
-// runBlocksOn attempts one job on the worker's block engine. ok=false means
-// the engine deoptimized (or could not be built) and the caller must replay
-// the job on the cycle-accurate pipeline; nothing observable happened.
-func (r *Runner) runBlocksOn(w *worker, job Job) (Result, bool) {
-	if w.blocks == nil {
-		if w.blocksBroken {
-			return Result{}, false
-		}
-		uops, _ := r.predecoded() // this worker's pipeline was built from it
-		e, err := block.New(r.prog, uops, mem.New(), &r.cfg)
-		if err != nil {
-			w.blocksBroken = true
-			return Result{}, false
-		}
-		w.blocks = e
-	}
-	var res Result
-	e := w.blocks
-	if err := e.Reset(); err != nil {
-		res.Err = err
-		return res, true
-	}
-	for _, wr := range job.Writes {
-		if err := e.Mem().StoreWord(wr.Addr, wr.Val); err != nil {
-			res.Err = err
-			return res, true
-		}
-	}
-	if runErr := e.Run(r.budget(job)); runErr != nil {
-		// Every non-nil return is a deopt: faults and mid-run budget expiry
-		// are replayed on the cycle-accurate pipeline, which reproduces the
-		// exact error (or partial result) the caller would have seen.
-		r.blockDeopts.Add(1)
-		return Result{}, false
-	}
-	r.blockRuns.Add(1)
-	res.Done = true
-	res.Stats = Stats{Stats: e.Stats(), StaticPJ: e.StaticPJ()}
-	r.cycles.Add(res.Stats.Cycles)
-	for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
-		res.Regs[reg] = e.Reg(reg)
-	}
-	for _, rd := range job.Reads {
-		words, err := e.Mem().ReadWords(rd.Addr, rd.Words)
-		if err != nil {
-			res.Err = err
-			return res, true
-		}
-		res.Mem = append(res.Mem, words)
-	}
-	return res, true
-}
-
 // runOn executes one job on a worker as a one-lane run that meters every
 // cycle, so the result carries the run's energy totals. The worker is reset
 // to power-on state first, so results are independent of whatever the
 // worker ran before.
 func (r *Runner) runOn(w *worker, job Job) Result {
-	if r.blockEligible(&job) {
-		if res, ok := r.runBlocksOn(w, job); ok {
-			return res
-		}
-	}
 	e := w.e
 	if err := e.Reset(1); err != nil {
 		return Result{Err: err}
