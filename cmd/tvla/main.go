@@ -4,7 +4,9 @@
 // scaled to thousands of traces in constant memory.
 //
 // It assesses one workload/policy (or every policy with -all) and prints —
-// optionally writes as JSON — the max |t| verdict. For DES, -vary
+// optionally writes as JSON — the max |t| verdict. Traces run in lockstep
+// gangs of 16 unless -gang says otherwise (-gang 1 runs one lane at a time);
+// the verdict is the same for every width. For DES, -vary
 // chooses what differs between the populations: "key" (default; the window
 // is the whole masked region, [0, output permutation)) or "plaintext" (the
 // window is round 1, past the insecure-by-design initial permutation).
@@ -13,19 +15,24 @@
 //
 //	tvla [-kernel des|aes128|tea|sha1] [-policy selective | -all]
 //	     [-vary key|plaintext] [-traces N] [-seed N] [-workers N]
-//	     [-shards N] [-threshold T] [-max N] [-key HEX] [-plaintext HEX]
+//	     [-shards N] [-gang N] [-threshold T] [-max N] [-key HEX] [-plaintext HEX]
 //	     [-leakcheck] [-o report.json]
 //
 // The exit status reports tool failure, not the verdict: a build that leaks
 // prints LEAK and exits 0, as does one that does not. A build that faults, or
 // whose runs end before the assessment window does, fails the assessment with
-// exit status 1; invalid flags exit 2.
+// exit status 1; invalid flags exit 2. A -max budget that ends before the
+// assessed region does (the masked region, or round 1 with -vary plaintext)
+// clamps the window to the budget and prints a warning to standard error;
+// the exit status does not change.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -36,7 +43,6 @@ import (
 	"desmask/internal/kernels"
 	"desmask/internal/leakcheck"
 	"desmask/internal/leakstat"
-	"desmask/internal/trace"
 )
 
 func fatal(err error) {
@@ -67,23 +73,27 @@ type assessment struct {
 	TracesPerSec float64 `json:"traces_per_sec"`
 	// Taint leak sites outside declassification, when -leakcheck ran.
 	TaintLeakSites *int `json:"taint_leak_sites,omitempty"`
+	// WindowTruncated reports that -max ended the window before the region
+	// it stands for did.
+	WindowTruncated bool `json:"window_truncated,omitempty"`
 }
 
 // desSetup builds the machine, source, and window of one DES assessment.
-func desSetup(opt compiler.Options, vary string, key, plain uint64, seed int64, maxCycles uint64) (*desprog.Machine, leakstat.Source, trace.Window, error) {
+func desSetup(opt compiler.Options, vary string, key, plain uint64, seed int64, maxCycles uint64) (*desprog.Machine, leakstat.Source, leakstat.Region, error) {
 	m, err := desprog.NewFull(opt, energy.DefaultConfig())
 	if err != nil {
-		return nil, leakstat.Source{}, trace.Window{}, err
+		return nil, leakstat.Source{}, leakstat.Region{}, err
 	}
 	var src leakstat.Source
-	var win trace.Window
+	var win leakstat.Region
+	ctx := context.Background()
 	switch vary {
 	case "key":
 		src = leakstat.DESKeySource(m, key, plain, seed, maxCycles)
-		win, err = leakstat.DESMaskedWindow(m, key, plain, maxCycles)
+		win, err = leakstat.DESMaskedWindowContext(ctx, m, key, plain, maxCycles)
 	case "plaintext":
 		src = leakstat.DESPlaintextSource(m, key, plain, seed, maxCycles)
-		win, err = leakstat.DESRound1Window(m, key, plain, maxCycles)
+		win, err = leakstat.DESRound1WindowContext(ctx, m, key, plain, maxCycles)
 	default:
 		err = fmt.Errorf("unknown -vary %q (want key or plaintext)", vary)
 	}
@@ -94,7 +104,7 @@ func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
 	cfg leakstat.Config, maxCycles uint64, runLeakcheck bool) (*assessment, error) {
 	var (
 		src leakstat.Source
-		win trace.Window
+		win leakstat.Region
 		err error
 
 		taintN *int
@@ -134,7 +144,7 @@ func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
 		}
 		secret, public, mask := kernels.TVLAInputs(k)
 		src = leakstat.KernelSecretSource(m, secret, public, mask, cfg.Seed, maxCycles)
-		win, err = leakstat.KernelMaskedWindow(m, secret, public)
+		win, err = leakstat.KernelMaskedWindowContext(context.Background(), m, secret, public, maxCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +163,7 @@ func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
 		}
 		vary = "secret"
 	}
-	cfg.Window = win
+	cfg.Window = win.Window
 	start := time.Now()
 	rep, err := leakstat.Assess(src, cfg)
 	if err != nil {
@@ -164,11 +174,18 @@ func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
 		Workload: kernel, Policy: opt.Policy.String(), ISA: opt.Target.Name(), Vary: vary,
 		Shuffle: opt.Shuffle,
 		Report:  rep, Seconds: sec, TracesPerSec: float64(rep.NumTraces) / sec,
-		TaintLeakSites: taintN,
+		TaintLeakSites:  taintN,
+		WindowTruncated: win.Truncated,
 	}, nil
 }
 
-func printAssessment(a *assessment) {
+// printAssessment writes the report of one assessment to out, and to errOut
+// a warning when the cycle budget truncated its window.
+func printAssessment(out, errOut io.Writer, a *assessment) {
+	if a.WindowTruncated {
+		fmt.Fprintf(errOut, "tvla: warning: %s %s: -max cut the assessed region short; the verdict covers window [%d,%d) only\n",
+			a.Workload, a.Policy, a.WindowStart, a.WindowEnd)
+	}
 	verdict := "no leak"
 	if a.Leak {
 		verdict = "LEAK"
@@ -177,13 +194,13 @@ func printAssessment(a *assessment) {
 	if a.Shuffle {
 		pol += "+shuffle"
 	}
-	fmt.Printf("%-8s %-16s isa=%-4s vary=%-9s order=%d traces=%d window=[%d,%d) max|t|=%.4g @%d  %s (threshold %.1f)\n",
+	fmt.Fprintf(out, "%-8s %-16s isa=%-4s vary=%-9s order=%d traces=%d window=[%d,%d) max|t|=%.4g @%d  %s (threshold %.1f)\n",
 		a.Workload, pol, a.ISA, a.Vary, a.Order, a.NumTraces, a.WindowStart, a.WindowEnd,
 		a.MaxAbsT, a.MaxTCycle, verdict, a.Threshold)
-	fmt.Printf("         fixed/random=%d/%d shards=%d state=%.1f KiB  %.1f traces/s\n",
+	fmt.Fprintf(out, "         fixed/random=%d/%d shards=%d state=%.1f KiB  %.1f traces/s\n",
 		a.FixedN, a.RandomN, a.Shards, float64(a.StateBytes)/1024, a.TracesPerSec)
 	if a.TaintLeakSites != nil {
-		fmt.Printf("         taint check: %d leak sites outside declassification\n", *a.TaintLeakSites)
+		fmt.Fprintf(out, "         taint check: %d leak sites outside declassification\n", *a.TaintLeakSites)
 	}
 }
 
@@ -215,7 +232,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printAssessment(a)
+		printAssessment(os.Stdout, os.Stderr, a)
 		reports = append(reports, a)
 	}
 	if *out != "" {

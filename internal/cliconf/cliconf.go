@@ -175,14 +175,17 @@ type Assess struct {
 	Workers int `json:"workers"`
 	// Shards is the fixed population partition (0 = leakstat default).
 	Shards int `json:"shards"`
-	// Gang is the lockstep gang width: > 1 runs each shard's traces in
-	// gangs of up to Gang lanes through the gang-scheduled engine. A pure
-	// throughput knob — the verdict is bit-identical for any value.
+	// Gang is the lockstep gang width: each shard's traces run in gangs of
+	// up to Gang lanes through the gang-scheduled engine, 0 uses
+	// leakstat.DefaultGang and 1 runs one lane at a time. A pure throughput
+	// knob — the verdict is bit-identical for any value. Leaving it unset
+	// keeps it out of a request's canonical form and job ID.
 	Gang int `json:"gang,omitempty"`
 	// Threshold is the |t| decision threshold (0 = leakstat default).
 	Threshold float64 `json:"threshold"`
 	// MaxCycles is the per-trace cycle budget (0 = full run); assessment
-	// windows are clamped to it.
+	// windows are clamped to it, and a report says when that cut the
+	// assessed region short.
 	MaxCycles uint64 `json:"max_cycles"`
 	// Key is the fixed DES key, hex.
 	Key string `json:"key"`
@@ -227,9 +230,9 @@ func (a *Assess) AddFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&a.Seed, "seed", a.Seed, "seed for group assignment and random inputs")
 	fs.IntVar(&a.Workers, "workers", a.Workers, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&a.Shards, "shards", a.Shards, "fixed shard partition (0 = default 32)")
-	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (<= 1 = scalar execution; verdict is identical either way)")
+	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (0 = default: 16 lanes for TVLA, one lane for dpa-attack; 1 = one lane; the result is identical either way)")
 	fs.Float64Var(&a.Threshold, "threshold", a.Threshold, "|t| decision threshold (0 = 4.5)")
-	fs.Uint64Var(&a.MaxCycles, "max", a.MaxCycles, "cycle budget per trace (0 = full run; window is clamped to it)")
+	fs.Uint64Var(&a.MaxCycles, "max", a.MaxCycles, "cycle budget per trace (0 = full run; the window is clamped to it, with a warning when that cuts the region short)")
 	fs.StringVar(&a.Key, "key", a.Key, "fixed DES key (hex)")
 	fs.StringVar(&a.Plaintext, "plaintext", a.Plaintext, "DES plaintext (hex)")
 }

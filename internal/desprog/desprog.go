@@ -12,7 +12,6 @@
 package desprog
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -491,26 +490,6 @@ func (m *Machine) TraceRun(key, plaintext uint64) (*trace.Trace, uint64, sim.Sta
 func (m *Machine) Trace(key, plaintext uint64) (*trace.Trace, uint64, error) {
 	tr, cipherText, _, err := m.TraceRun(key, plaintext)
 	return tr, cipherText, err
-}
-
-// TraceContext is Trace under a cancellable context: a context that dies
-// before the run starts skips the simulation entirely and returns the
-// context's error, so deadline-bound callers (the leakd window probe) never
-// burn a worker on a run whose request has already expired.
-func (m *Machine) TraceContext(ctx context.Context, key, plaintext uint64) (*trace.Trace, uint64, error) {
-	job, err := m.EncryptJob(key, plaintext, 0, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	results, err := m.Runner().RunBatchContext(ctx, []sim.Job{job}, sim.Options{Workers: 1})
-	if err != nil {
-		return nil, 0, err
-	}
-	res := results[0]
-	if !res.Done {
-		return nil, 0, fmt.Errorf("desprog: encryption exceeded %d cycles", uint64(MaxCycles))
-	}
-	return res.Trace, gatherBits(res.Mem[0]), nil
 }
 
 // RoundStarts returns the cycle at which each of the 16 rounds begins: the

@@ -43,11 +43,26 @@ import (
 // error, if any).
 var ErrDeopt = errors.New("gang: lane left lockstep for a one-lane run")
 
+// DeoptReason is a short human-readable cause of a deopt.
+type DeoptReason string
+
+// The causes of a deopt.
+const (
+	DeoptExecFault        DeoptReason = "exec fault"
+	DeoptBranchDivergence DeoptReason = "branch divergence"
+	DeoptFetchFault       DeoptReason = "fetch fault"
+	DeoptMemoryFault      DeoptReason = "memory fault"
+)
+
+// DeoptReasons lists every DeoptReason the engine reports, in a fixed order,
+// for counters kept per reason.
+var DeoptReasons = [...]DeoptReason{DeoptExecFault, DeoptBranchDivergence, DeoptFetchFault, DeoptMemoryFault}
+
 // DeoptError reports why a lane was peeled off the gang. It matches ErrDeopt
 // and unwraps to the underlying cause when one exists.
 type DeoptError struct {
-	// Reason is a short human-readable cause, for diagnostics and tests.
-	Reason string
+	// Reason is the cause, for diagnostics, counters and tests.
+	Reason DeoptReason
 	// PC is the program counter of the instruction the lane diverged at, or
 	// the fetch PC for shared-control deopts.
 	PC uint32
@@ -505,7 +520,7 @@ func (e *Engine) step() {
 			a, b := forwardOperands(exU, oldIDA, oldIDB, memU, oldEXOut, wbU, oldWBVal)
 			res, target, taken, err := cpu.ExecUOp(exU, a, b)
 			if err != nil {
-				e.laneErr[li] = &DeoptError{Reason: "exec fault", PC: exU.PC, Cause: err}
+				e.laneErr[li] = &DeoptError{Reason: DeoptExecFault, PC: exU.PC, Cause: err}
 				continue
 			}
 			if !haveRef {
@@ -515,7 +530,7 @@ func (e *Engine) step() {
 					redirect, redirectPC = true, target
 				}
 			} else if taken != refTaken || (taken && target != refTarget) {
-				e.laneErr[li] = &DeoptError{Reason: "branch divergence", PC: exU.PC}
+				e.laneErr[li] = &DeoptError{Reason: DeoptBranchDivergence, PC: exU.PC}
 				continue
 			}
 			ev.A, ev.B, ev.R = a, b, res
@@ -593,7 +608,7 @@ func (e *Engine) step() {
 		!newIFID.valid && !newIDEX.valid && !newEXMEM.valid && !newMEMWB.valid {
 		cause := fmt.Errorf("cpu: instruction fetch outside text segment at pc %#x", e.pc)
 		for _, li := range e.live {
-			e.laneErr[li] = &DeoptError{Reason: "fetch fault", PC: e.pc, Cause: cause}
+			e.laneErr[li] = &DeoptError{Reason: DeoptFetchFault, PC: e.pc, Cause: cause}
 		}
 		e.live = e.live[:0]
 		return
@@ -615,7 +630,7 @@ func (e *Engine) step() {
 // memFault is the deopt of a lane whose load or store faulted, carrying the
 // exact error of a one-lane run.
 func memFault(u *isa.UOp, err error) *DeoptError {
-	return &DeoptError{Reason: "memory fault", PC: u.PC, Cause: fmt.Errorf("cpu: pc %#x: %w", u.PC, err)}
+	return &DeoptError{Reason: DeoptMemoryFault, PC: u.PC, Cause: fmt.Errorf("cpu: pc %#x: %w", u.PC, err)}
 }
 
 // loadUseHazard reports whether the EX-stage occupant eu forces the ID-stage

@@ -272,14 +272,24 @@ func (s *Store) Requeue(id string) error {
 	})
 }
 
+// shardBufs recycles shard encodings across PutShard calls: a 25k-sample
+// first-order shard encodes to 800 KB, written once and then dropped.
+var shardBufs sync.Pool // *[]byte
+
 // PutShard persists one completed shard accumulator. The write is atomic:
 // after a crash the file either holds the complete CRC-clean encoding or
 // does not exist.
 func (s *Store) PutShard(id string, acc *leakstat.ShardAccum) error {
-	data, err := acc.MarshalBinary()
+	buf, _ := shardBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer shardBufs.Put(buf)
+	data, err := acc.AppendBinary((*buf)[:0])
 	if err != nil {
 		return err
 	}
+	*buf = data
 	path := filepath.Join(s.jobDir(id), shardFile(acc.Shard))
 	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("jobstore: shard %d of %s: %w", acc.Shard, id, err)

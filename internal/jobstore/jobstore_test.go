@@ -120,6 +120,41 @@ func TestLifecycleAndDurability(t *testing.T) {
 	}
 }
 
+// TestPutShardBytes: PutShard encodes through a recycled buffer; every file
+// it writes holds exactly the accumulator's MarshalBinary encoding, also
+// when a larger shard's encoding was in the buffer before.
+func TestPutShardBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := json.RawMessage(`{}`)
+	id := JobID(req)
+	if _, _, err := st.Create(id, req, 2); err != nil {
+		t.Fatal(err)
+	}
+	large := &leakstat.ShardAccum{Shard: 0, Cycles: 7, Fixed: leakstat.NewVecOrder(64, 2), Random: leakstat.NewVecOrder(64, 2)}
+	large.Fixed.AddTrace(make([]float64, 64))
+	large.Random.AddTrace(make([]float64, 64))
+	for _, acc := range []*leakstat.ShardAccum{large, testAccum(1)} {
+		if err := st.PutShard(id, acc); err != nil {
+			t.Fatal(err)
+		}
+		want, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, id, shardFile(acc.Shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("shard %d: file holds %d bytes that differ from its %d-byte encoding", acc.Shard, len(got), len(want))
+		}
+	}
+}
+
 // TestCorruptShardSkipped: a torn shard file reads as "not computed".
 func TestCorruptShardSkipped(t *testing.T) {
 	dir := t.TempDir()

@@ -8,7 +8,6 @@
 package kernels
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -154,26 +153,6 @@ func (m *Machine) Trace(secret, public []uint32) ([]uint32, *trace.Trace, error)
 		return nil, nil, err
 	}
 	return out, res.Trace, nil
-}
-
-// TraceContext is Trace under a cancellable context: a context that dies
-// before the run starts skips the simulation and returns the context's
-// error, so deadline-bound callers never burn a worker on an expired
-// request.
-func (m *Machine) TraceContext(ctx context.Context, secret, public []uint32) ([]uint32, *trace.Trace, error) {
-	job, err := m.Job(secret, public, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := m.Runner().RunBatchContext(ctx, []sim.Job{job}, sim.Options{Workers: 1})
-	if err != nil {
-		return nil, nil, err
-	}
-	out, _, err := m.output(results[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, results[0].Trace, nil
 }
 
 // TVLAInputs returns the kernel's canonical fixed TVLA population inputs —

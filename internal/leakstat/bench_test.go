@@ -50,9 +50,9 @@ func BenchmarkAssessDES(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, gangW := range []int{0, 16} {
+		for _, gangW := range []int{1, 16} {
 			name := "scalar"
-			if gangW > 0 {
+			if gangW > 1 {
 				name = fmt.Sprintf("gang%d", gangW)
 			}
 			b.Run(policy.String()+"/"+name, func(b *testing.B) {

@@ -37,7 +37,13 @@ const vecMomentsFlag = uint64(1) << 63
 // with M3/M4 bits appended (and the length word flagged) for
 // moment-tracking accumulators.
 func (v *Vec) MarshalBinary() ([]byte, error) {
-	return v.appendBinary(make([]byte, 0, 16+8*len(v.Mean)*2*v.Order())), nil
+	return v.appendBinary(make([]byte, 0, v.binarySize())), nil
+}
+
+// binarySize is the length of the accumulator's encoding: the two header
+// words plus two or four moment arrays.
+func (v *Vec) binarySize() int {
+	return 16 + 8*len(v.Mean)*2*v.Order()
 }
 
 func (v *Vec) appendBinary(b []byte) []byte {
@@ -105,8 +111,18 @@ func (v *Vec) consumeBinary(b []byte) ([]byte, error) {
 }
 
 // MarshalBinary encodes the shard accumulator pair with a magic/version
-// header and a CRC-32 trailer.
+// header and a CRC-32 trailer, into one exactly sized allocation.
 func (a *ShardAccum) MarshalBinary() ([]byte, error) {
+	if a.Fixed == nil || a.Random == nil {
+		return nil, fmt.Errorf("leakstat: shard %d accumulator incomplete", a.Shard)
+	}
+	return a.AppendBinary(make([]byte, 0, 4+8+8+a.Fixed.binarySize()+a.Random.binarySize()+4))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b and returns the
+// extended slice (the encoding.BinaryAppender method), so a caller that
+// encodes shard after shard can reuse one buffer.
+func (a *ShardAccum) AppendBinary(b []byte) ([]byte, error) {
 	if a.Fixed == nil || a.Random == nil {
 		return nil, fmt.Errorf("leakstat: shard %d accumulator incomplete", a.Shard)
 	}
@@ -114,14 +130,13 @@ func (a *ShardAccum) MarshalBinary() ([]byte, error) {
 	if a.Fixed.Order() >= 2 {
 		magic = shardAccumMagic2
 	}
-	b := make([]byte, 0, 4+8+8+32+8*(a.Fixed.Len()+a.Random.Len())*2*a.Fixed.Order())
+	start := len(b)
 	b = append(b, magic...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.Shard))
 	b = binary.LittleEndian.AppendUint64(b, a.Cycles)
 	b = a.Fixed.appendBinary(b)
 	b = a.Random.appendBinary(b)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return b, nil
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 // UnmarshalBinary decodes and checksum-verifies a MarshalBinary encoding.

@@ -17,6 +17,10 @@ const (
 	DefaultShards = 32
 	// DefaultThreshold is the conventional TVLA decision threshold on |t|.
 	DefaultThreshold = 4.5
+	// DefaultGang is the lockstep gang width of a Config that leaves Gang
+	// at zero. A shard's gangs are capped by its trace count, so small
+	// shards run narrower gangs.
+	DefaultGang = 16
 )
 
 // Config parameterises one assessment.
@@ -35,14 +39,14 @@ type Config struct {
 	Shards int
 	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Gang > 1 runs each shard's traces through the gang-scheduled lockstep
-	// engine in gangs of up to Gang lanes (sim.Options.GangWidth semantics):
+	// Gang is the lockstep gang width: each shard's traces run through the
+	// gang-scheduled engine in gangs of up to Gang lanes (0 = DefaultGang):
 	// one shared control computation per cycle, per-lane energy sampling,
-	// and transparent one-lane replay for any lane that diverges. The
-	// shard's accumulator sees the exact same per-trace sample stream in the
-	// exact same order either way, so the verdict is bit-identical for any
-	// Gang value — the knob only changes throughput. <= 1 runs every trace
-	// as a one-lane run.
+	// and transparent one-lane replay for any lane that diverges. 1 (or
+	// less) runs every trace as a one-lane run. The shard's accumulator
+	// sees the exact same per-trace sample stream in the exact same order
+	// either way, so the verdict is bit-identical for any Gang value — the
+	// knob only changes throughput.
 	Gang int
 	// Order selects the statistical order of the test: 1 (or 0, the
 	// default) is the first-order Welch t-test on the means; 2 is the
@@ -283,6 +287,7 @@ type plan struct {
 	cfg       Config
 	win       trace.Window
 	shards    int
+	gang      int
 	order     int
 	threshold float64
 	fixed     []bool
@@ -309,6 +314,10 @@ func newPlan(cfg Config) (*plan, error) {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
+	gang := cfg.Gang
+	if gang == 0 {
+		gang = DefaultGang
+	}
 	fixed := Assignment(cfg.Seed, cfg.NumTraces)
 	nFixed := 0
 	for _, f := range fixed {
@@ -324,6 +333,7 @@ func newPlan(cfg Config) (*plan, error) {
 		cfg:       cfg,
 		win:       win,
 		shards:    NumShards(cfg),
+		gang:      max(gang, 1),
 		order:     order,
 		threshold: threshold,
 		fixed:     fixed,
@@ -350,16 +360,13 @@ func (p *plan) runShard(ctx context.Context, src Source, s int) (*ShardAccum, er
 var sampleBufs sync.Pool // *[]float64
 
 // runGangShard feeds the shard's trace range through the lockstep engine in
-// gangs of up to cfg.Gang lanes (one lane when Gang <= 1), then folds each
-// lane's window samples into the accumulators in trace-index order — the
-// same sequence of Vec operations for any gang width, so the fold is
-// bit-exact. Every sample is overwritten before it is folded (the coverage
-// check), so recycled buffers need no clearing.
+// gangs of up to p.gang lanes, then folds each lane's window samples into
+// the accumulators in trace-index order — the same sequence of Vec
+// operations for any gang width, so the fold is bit-exact. Every sample is
+// overwritten before it is folded (the coverage check), so recycled buffers
+// need no clearing.
 func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo, hi int) error {
-	width := max(p.cfg.Gang, 1)
-	if n := hi - lo; width > n {
-		width = n
-	}
+	width := min(p.gang, hi-lo)
 	flat, _ := sampleBufs.Get().(*[]float64)
 	if flat == nil || cap(*flat) < width*p.L {
 		s := make([]float64, width*p.L)

@@ -15,6 +15,7 @@ import (
 	"desmask/internal/desprog"
 	"desmask/internal/energy"
 	"desmask/internal/isa"
+	"desmask/internal/kernels"
 	"desmask/internal/trace"
 )
 
@@ -88,7 +89,7 @@ func TestAssessGangBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := assessDESGang(t, m, 24, 2, 0, 6000)
+				ref := assessDESGang(t, m, 24, 2, 1, 6000)
 				for _, gw := range combos {
 					g, w := gw[0], gw[1]
 					got := assessDESGang(t, m, 24, w, g, 6000)
@@ -102,12 +103,81 @@ func TestAssessGangBitIdentity(t *testing.T) {
 	}
 }
 
+// TestAssessDefaultGangMatchesOneLane: a Config that leaves Gang at zero
+// runs DefaultGang-wide gangs, and its verdict is bit-identical to the
+// explicit one-lane path (Gang: 1) — t-vector, verdict and simulated cycles —
+// on DES under the unprotected, selective and boolean-mask policies on both
+// ISAs and on the kernels. The kernels run every lane in lockstep: no deopt.
+func TestAssessDefaultGangMatchesOneLane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("TestAssessGangBitIdentity runs gangs across shard workers under the race detector")
+	}
+	const traces = 64
+	// Two shards of 32 traces each, so the default fills gangs of 16.
+	assess := func(t *testing.T, src Source, win trace.Window, gangW int) *Report {
+		t.Helper()
+		rep, err := Assess(src, Config{NumTraces: traces, Seed: 7, Shards: 2, Workers: 2, Gang: gangW, Window: win})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	policies := []compiler.Policy{compiler.PolicyNone, compiler.PolicySelective, compiler.PolicyBooleanMask}
+	for _, isaName := range []string{"pisa", "rv32"} {
+		target, ok := isa.TargetByName(isaName)
+		if !ok {
+			t.Fatalf("unknown target %q", isaName)
+		}
+		for _, policy := range policies {
+			t.Run("des/"+isaName+"/"+policy.String(), func(t *testing.T) {
+				const maxCycles = 6000
+				m, err := desprog.NewFull(compiler.Options{Policy: policy, Target: target}, energy.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				win, err := DESMaskedWindow(m, testKey, testPlain, maxCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := DESKeySource(m, testKey, testPlain, 7, maxCycles)
+				ref := assess(t, src, win, 1)
+				requireSameT(t, "default gang", assess(t, src, win, 0), ref)
+				if m.Runner().GangRuns() == 0 {
+					t.Error("the default gang ran no lane in lockstep")
+				}
+			})
+		}
+	}
+	for _, name := range []string{"tea", "aes128", "sha1"} {
+		k, _ := kernels.ByName(name)
+		for _, policy := range policies {
+			t.Run(name+"/"+policy.String(), func(t *testing.T) {
+				m, err := kernels.BuildSimple(k, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				secret, public, mask := kernels.TVLAInputs(k)
+				win, err := KernelMaskedWindow(m, secret, public)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := KernelSecretSource(m, secret, public, mask, 7, 0)
+				ref := assess(t, src, win, 1)
+				requireSameT(t, "default gang", assess(t, src, win, 0), ref)
+				if runs, deopts := m.Runner().GangRuns(), m.Runner().GangDeopts(); runs == 0 || deopts != 0 {
+					t.Errorf("default gang: %d lanes in lockstep, %d deopts; want some and none", runs, deopts)
+				}
+			})
+		}
+	}
+}
+
 // TestAssessGangCoverageError: the gang path must fail a too-short window
 // exactly as loudly as the scalar path.
 func TestAssessGangCoverageError(t *testing.T) {
 	m := desMachine(t, compiler.PolicyNone)
 	src := DESKeySource(m, testKey, testPlain, 7, 3000)
-	for _, gangW := range []int{0, 4} {
+	for _, gangW := range []int{1, 4} {
 		_, err := Assess(src, Config{
 			NumTraces: 8,
 			Seed:      7,
@@ -147,9 +217,9 @@ func TestAssessSteadyStateAllocs(t *testing.T) {
 		maxAlloc float64
 		maxKB    float64
 	}{
-		{"scalar", compiler.PolicyNone, 0, 16, 96},
+		{"scalar", compiler.PolicyNone, 1, 16, 96},
 		{"gang", compiler.PolicyNone, 8, 16, 96},
-		{"boolean-mask/scalar", compiler.PolicyBooleanMask, 0, 16, 96},
+		{"boolean-mask/scalar", compiler.PolicyBooleanMask, 1, 16, 96},
 		{"boolean-mask/gang", compiler.PolicyBooleanMask, 8, 16, 96},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

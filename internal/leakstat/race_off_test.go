@@ -2,6 +2,6 @@
 
 package leakstat
 
-// raceEnabled gates allocation-count assertions: the race detector
-// instruments allocations, so counts are only meaningful without it.
+// raceEnabled gates allocation-count assertions and the long bit-identity
+// sweeps; see race_on_test.go.
 const raceEnabled = false

@@ -117,6 +117,39 @@ func TestShardAccumRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardAccumEncodeAllocs: MarshalBinary sizes its buffer for the whole
+// encoding, CRC trailer included, so encoding allocates exactly once, and
+// AppendBinary appends the same bytes after whatever the buffer holds.
+func TestShardAccumEncodeAllocs(t *testing.T) {
+	for _, order := range []int{1, 2} {
+		acc := &ShardAccum{Shard: 5, Cycles: 1234, Fixed: NewVecOrder(2500, order), Random: NewVecOrder(2500, order)}
+		samples := make([]float64, 2500)
+		for i := range samples {
+			samples[i] = float64(i%7) + 0.5
+		}
+		acc.Fixed.AddTrace(samples)
+		acc.Random.AddTrace(samples)
+		enc, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != cap(enc) {
+			t.Errorf("order %d: encoding of %d bytes in a %d-byte buffer", order, len(enc), cap(enc))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { acc.MarshalBinary() }); allocs != 1 {
+			t.Errorf("order %d: MarshalBinary made %v allocations, want 1", order, allocs)
+		}
+		prefix := []byte("prefix")
+		app, err := acc.AppendBinary(append([]byte(nil), prefix...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(app[:len(prefix)]) != string(prefix) || string(app[len(prefix):]) != string(enc) {
+			t.Errorf("order %d: AppendBinary did not append the MarshalBinary encoding", order)
+		}
+	}
+}
+
 // TestShardAccumCorruption: a flipped byte or a truncated encoding is
 // rejected — the durability layer depends on never folding a torn file.
 func TestShardAccumCorruption(t *testing.T) {

@@ -88,28 +88,74 @@ func KernelSecretSource(m *kernels.Machine, fixedSecret, public []uint32, wordMa
 	}
 }
 
+// Region is an assessment window located on a probe run. Truncated reports
+// that the cycle budget ended the window before the region it stands for
+// did: the verdict then covers only the region's first End cycles.
+type Region struct {
+	trace.Window
+	Truncated bool
+}
+
+// budgetRegion bounds a window located on a probe run to a maxCycles > 0
+// budget, so budget-bounded assessment runs still cover it.
+func budgetRegion(w trace.Window, maxCycles uint64) Region {
+	if maxCycles == 0 {
+		return Region{Window: w}
+	}
+	return Region{Window: w.Clamp(int(maxCycles)), Truncated: w.End > int(maxCycles)}
+}
+
+// probeTrace runs job once with its per-cycle trace captured, for locating
+// a window. Cycle counts are input-independent per program, so the window
+// found on one probe run holds for every run. With a budget (maxCycles > 0)
+// the run stops one cycle past it: a region boundary at or before the
+// budget is then located exactly, and a region still open at the last
+// traced cycle ends past the budget — everything budgetRegion needs, at a
+// fraction of a full run's cost. Without a budget the run must halt. A
+// context that is already dead skips the run, so a deadline-bound service
+// never burns a worker locating a window for an expired request.
+func probeTrace(ctx context.Context, r *sim.Runner, job sim.Job, maxCycles uint64) (*trace.Trace, error) {
+	job.Trace = true
+	job.MaxCycles = 0
+	job.RequireHalt = maxCycles == 0
+	if maxCycles > 0 {
+		job.MaxCycles = maxCycles + 1
+	}
+	results, err := r.RunBatchContext(ctx, []sim.Job{job}, sim.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	if err := results[0].Err; err != nil {
+		return nil, fmt.Errorf("leakstat: window probe: %w", err)
+	}
+	return results[0].Trace, nil
+}
+
 // DESMaskedWindow locates the DES assessment window [0, entry of the output
 // permutation): everything the paper requires to be energy-flat across keys.
 // The output permutation itself declassifies the ciphertext and is insecure
-// by design. Cycle counts are input-independent per program, so the window
-// found on one probe run holds for every run. A maxCycles > 0 budget clamps
-// the window so budget-bounded assessment runs still cover it.
+// by design. A maxCycles > 0 budget clamps the window so budget-bounded
+// assessment runs still cover it.
 func DESMaskedWindow(m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	return DESMaskedWindowContext(context.Background(), m, key, plaintext, maxCycles)
+	reg, err := DESMaskedWindowContext(context.Background(), m, key, plaintext, maxCycles)
+	return reg.Window, err
 }
 
-// DESMaskedWindowContext is DESMaskedWindow under a cancellable context: the
-// window-probe simulation (a full traced encryption) is skipped when the
-// context is already dead, so a deadline-bound service never burns a worker
-// locating a window for an expired request.
-func DESMaskedWindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	tr, _, err := m.TraceContext(ctx, key, plaintext)
-	if err != nil {
-		return trace.Window{}, err
-	}
+// DESMaskedWindowContext is DESMaskedWindow under a cancellable context,
+// reporting whether the budget cut the masked region short. The probe run
+// stops at the budget (probeTrace).
+func DESMaskedWindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (Region, error) {
 	entry, err := m.EntryPC(desprog.FuncOutputPermutation)
 	if err != nil {
-		return trace.Window{}, err
+		return Region{}, err
+	}
+	job, err := m.EncryptJob(key, plaintext, 0, true)
+	if err != nil {
+		return Region{}, err
+	}
+	tr, err := probeTrace(ctx, m.Runner(), job, maxCycles)
+	if err != nil {
+		return Region{}, err
 	}
 	end := tr.Len()
 	for i, pc := range tr.PCs {
@@ -118,61 +164,74 @@ func DESMaskedWindowContext(ctx context.Context, m *desprog.Machine, key, plaint
 			break
 		}
 	}
-	w := trace.Window{Start: 0, End: end}
-	if maxCycles > 0 {
-		w = w.Clamp(int(maxCycles))
+	reg := budgetRegion(trace.Window{Start: 0, End: end}, maxCycles)
+	if reg.Len() <= 0 {
+		return Region{}, fmt.Errorf("leakstat: empty DES masked window")
 	}
-	if w.Len() <= 0 {
-		return trace.Window{}, fmt.Errorf("leakstat: empty DES masked window")
-	}
-	return w, nil
+	return reg, nil
 }
 
 // DESRound1Window locates round 1 of the DES encryption — the window the
 // vary-plaintext population is assessed over, past the insecure initial
 // permutation.
 func DESRound1Window(m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	return DESRound1WindowContext(context.Background(), m, key, plaintext, maxCycles)
+	reg, err := DESRound1WindowContext(context.Background(), m, key, plaintext, maxCycles)
+	return reg.Window, err
 }
 
-// DESRound1WindowContext is DESRound1Window under a cancellable context.
-func DESRound1WindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	tr, _, err := m.TraceContext(ctx, key, plaintext)
+// DESRound1WindowContext is DESRound1Window under a cancellable context,
+// reporting whether the budget cut round 1 short. The probe run stops at the
+// budget (probeTrace).
+func DESRound1WindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (Region, error) {
+	job, err := m.EncryptJob(key, plaintext, 0, true)
 	if err != nil {
-		return trace.Window{}, err
+		return Region{}, err
+	}
+	tr, err := probeTrace(ctx, m.Runner(), job, maxCycles)
+	if err != nil {
+		return Region{}, err
 	}
 	w, err := m.RoundWindow(tr, 0)
 	if err != nil {
-		return trace.Window{}, err
+		if maxCycles == 0 || tr.Len() <= int(maxCycles) {
+			return Region{}, err
+		}
+		// The probe stopped before round 1 began: past the budget.
+		w = trace.Window{Start: tr.Len(), End: tr.Len()}
 	}
-	if maxCycles > 0 {
-		w = w.Clamp(int(maxCycles))
+	reg := budgetRegion(w, maxCycles)
+	if reg.Len() <= 0 {
+		return Region{}, fmt.Errorf("leakstat: round-1 window outside the %d-cycle budget", maxCycles)
 	}
-	if w.Len() <= 0 {
-		return trace.Window{}, fmt.Errorf("leakstat: round-1 window outside the %d-cycle budget", maxCycles)
-	}
-	return w, nil
+	return reg, nil
 }
 
 // KernelMaskedWindow locates a kernel's assessment window [0, start of
-// output emission) from one probe run.
+// output emission) from one full probe run.
 func KernelMaskedWindow(m *kernels.Machine, secret, public []uint32) (trace.Window, error) {
-	return KernelMaskedWindowContext(context.Background(), m, secret, public)
+	reg, err := KernelMaskedWindowContext(context.Background(), m, secret, public, 0)
+	return reg.Window, err
 }
 
 // KernelMaskedWindowContext is KernelMaskedWindow under a cancellable
-// context.
-func KernelMaskedWindowContext(ctx context.Context, m *kernels.Machine, secret, public []uint32) (trace.Window, error) {
-	_, tr, err := m.TraceContext(ctx, secret, public)
+// context and a cycle budget: a maxCycles > 0 budget clamps the window, as
+// for DES, and the report says whether it cut the masked region short. The
+// probe run stops at the budget (probeTrace).
+func KernelMaskedWindowContext(ctx context.Context, m *kernels.Machine, secret, public []uint32, maxCycles uint64) (Region, error) {
+	job, err := m.Job(secret, public, true)
 	if err != nil {
-		return trace.Window{}, err
+		return Region{}, err
+	}
+	tr, err := probeTrace(ctx, m.Runner(), job, maxCycles)
+	if err != nil {
+		return Region{}, err
 	}
 	end, err := m.MaskedRegionEnd(tr)
 	if err != nil {
-		return trace.Window{}, err
+		return Region{}, err
 	}
 	if end <= 0 {
-		return trace.Window{}, fmt.Errorf("leakstat: %s: empty masked region", m.Kernel.Name)
+		return Region{}, fmt.Errorf("leakstat: %s: empty masked region", m.Kernel.Name)
 	}
-	return trace.Window{Start: 0, End: end}, nil
+	return budgetRegion(trace.Window{Start: 0, End: end}, maxCycles), nil
 }

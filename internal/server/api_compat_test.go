@@ -62,6 +62,21 @@ func TestStructuredRequestCanonicalization(t *testing.T) {
 	}
 }
 
+// TestDefaultRequestJobID pins the job ID of a fixed body that leaves gang
+// unset: the gang default changes how a verdict is computed, not which job
+// it is, so stored verdicts keep answering the requests that made them.
+func TestDefaultRequestJobID(t *testing.T) {
+	req := smallDES(64)
+	canon, err := canonicalRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9bb302c8f195dfaaa45882511c09c2de0749c6a2455b814d0aa4600be1c206ab"
+	if got := jobstore.JobID(canon); got != want {
+		t.Fatalf("job ID %s, want %s (canonical body %s)", got, want, canon)
+	}
+}
+
 // TestLegacyRequestReplaysStoredVerdict: the acceptance-criteria compat
 // path — a verdict stored under the legacy bare-string spelling replays
 // byte-for-byte for both the legacy resubmission and the equivalent

@@ -164,21 +164,19 @@ func (p *jobProgress) deliver(acc *leakstat.ShardAccum) {
 		delete(p.pending, p.prefix)
 		p.prefix++
 	}
-	ev := progressEvent{
+	p.last = progressEvent{
 		Shard:        acc.Shard,
 		Done:         p.done,
 		Total:        p.total,
 		PrefixShards: p.prefix,
 		Final:        p.done == p.total,
 	}
-	// WelchT needs two traces per population; the earliest prefixes may not
-	// have them yet, in which case the frame carries no t-statistic.
-	if p.fixed.N() >= 2 && p.random.N() >= 2 {
-		if t, err := leakstat.WelchT(p.fixed, p.random); err == nil {
-			ev.PrefixMaxAbsT, _ = leakstat.MaxAbs(t)
-		}
+	if len(p.subs) == 0 {
+		// Nobody reads this frame; subscribe computes the snapshot's
+		// t-statistic if someone attaches later.
+		return
 	}
-	p.last = ev
+	ev := p.withPrefixT(p.last)
 	for ch := range p.subs {
 		select {
 		case ch <- ev:
@@ -187,12 +185,25 @@ func (p *jobProgress) deliver(acc *leakstat.ShardAccum) {
 	}
 }
 
+// withPrefixT returns ev carrying the max |t| of the current prefix fold, a
+// full-window Welch test. WelchT needs two traces per population; the
+// earliest prefixes may not have them yet, in which case the frame carries
+// no t-statistic. Callers hold p.mu.
+func (p *jobProgress) withPrefixT(ev progressEvent) progressEvent {
+	if p.fixed.N() >= 2 && p.random.N() >= 2 {
+		if t, err := leakstat.WelchT(p.fixed, p.random); err == nil {
+			ev.PrefixMaxAbsT, _ = leakstat.MaxAbs(t)
+		}
+	}
+	return ev
+}
+
 // subscribe returns a channel primed with the current snapshot frame.
 func (p *jobProgress) subscribe() chan progressEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ch := make(chan progressEvent, 2*p.total+2)
-	ch <- p.last
+	ch <- p.withPrefixT(p.last)
 	if p.closed {
 		close(ch)
 		return ch

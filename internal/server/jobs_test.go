@@ -321,6 +321,37 @@ func TestDurableResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestProgressSnapshotWithoutSubscribers: progress computes the prefix
+// t-statistic only for a subscriber; one that attaches after every shard
+// landed gets, in its snapshot frame, the frame a subscriber attached
+// throughout received last.
+func TestProgressSnapshotWithoutSubscribers(t *testing.T) {
+	shard := func(s int, base float64) *leakstat.ShardAccum {
+		acc := &leakstat.ShardAccum{Shard: s, Fixed: leakstat.NewVec(3), Random: leakstat.NewVec(3)}
+		acc.Fixed.AddTrace([]float64{base, 2, 3})
+		acc.Fixed.AddTrace([]float64{base + 1, 2.5, 3})
+		acc.Random.AddTrace([]float64{base + 4, 2, 1})
+		acc.Random.AddTrace([]float64{base + 6, 2.5, 0})
+		return acc
+	}
+	watched, late := newJobProgress(3, 2), newJobProgress(3, 2)
+	ch := watched.subscribe()
+	for s, base := range []float64{1, 1.5} {
+		watched.deliver(shard(s, base))
+		late.deliver(shard(s, base))
+	}
+	var last progressEvent
+	for i := 0; i < 3; i++ { // the snapshot, then one frame per shard
+		last = <-ch
+	}
+	if !last.Final || last.PrefixMaxAbsT == 0 {
+		t.Fatalf("last streamed frame %+v: want the final frame with a t-statistic", last)
+	}
+	if got := <-late.subscribe(); got != last {
+		t.Fatalf("late snapshot %+v, want %+v", got, last)
+	}
+}
+
 // TestJobsAsyncAndStream: the async job API — submit returns 202 with the
 // pending record, the SSE stream delivers per-shard progress frames, the
 // record converges to done with a verdict, and a resubmission returns the

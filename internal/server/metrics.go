@@ -6,6 +6,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"desmask/internal/gang"
+	"desmask/internal/sim"
 )
 
 // metrics is leakd's hand-rolled observability surface, rendered in the
@@ -20,6 +23,10 @@ type metrics struct {
 	jobs sync.Map // string -> *atomic.Uint64
 
 	cyclesSimulated atomic.Uint64
+
+	// gang totals the lockstep lane outcomes of every runner the service
+	// builds (sim.Runner.GangCounts).
+	gang sim.GangCounters
 
 	mu     sync.Mutex
 	stages map[string]*histogram // per-stage latency: compile, window, assess
@@ -111,6 +118,15 @@ func (m *metrics) write(w io.Writer, cacheHits, cacheMisses uint64, cacheLen int
 	fmt.Fprintf(w, "# HELP leakd_cycles_simulated_total Simulated cycles executed by completed assessments.\n")
 	fmt.Fprintf(w, "# TYPE leakd_cycles_simulated_total counter\n")
 	fmt.Fprintf(w, "leakd_cycles_simulated_total %d\n", m.cyclesSimulated.Load())
+
+	fmt.Fprintf(w, "# HELP leakd_gang_lane_runs_total Trace runs completed in lockstep by gangs of two or more lanes.\n")
+	fmt.Fprintf(w, "# TYPE leakd_gang_lane_runs_total counter\n")
+	fmt.Fprintf(w, "leakd_gang_lane_runs_total %d\n", m.gang.Runs())
+	fmt.Fprintf(w, "# HELP leakd_gang_deopts_total Gang lanes replayed as one-lane runs, by deopt reason.\n")
+	fmt.Fprintf(w, "# TYPE leakd_gang_deopts_total counter\n")
+	for _, reason := range gang.DeoptReasons {
+		fmt.Fprintf(w, "leakd_gang_deopts_total{reason=%q} %d\n", reason, m.gang.Deopts(reason))
+	}
 
 	fmt.Fprintf(w, "# HELP leakd_stage_latency_seconds Per-stage request latency.\n")
 	fmt.Fprintf(w, "# TYPE leakd_stage_latency_seconds histogram\n")

@@ -186,6 +186,11 @@ type AssessResponse struct {
 	*leakstat.Report
 	Seconds  float64 `json:"seconds"`
 	CacheHit bool    `json:"cache_hit"`
+	// WindowTruncated reports that max_cycles ended the window before the
+	// region it stands for (the masked region, or round 1) did: the verdict
+	// covers only the window's cycles. Absent when the window is whole, so
+	// verdicts stored before the field existed replay byte for byte.
+	WindowTruncated bool `json:"window_truncated,omitempty"`
 }
 
 // errorResponse is the JSON error body. Field and Allowed are populated for
@@ -306,6 +311,8 @@ type workload struct {
 	name string
 	src  leakstat.Source
 	win  trace.Window
+	// truncated reports that the budget cut the window's region short.
+	truncated bool
 }
 
 // cacheKeyFor derives the program-cache key: built-in workloads are keyed by
@@ -361,6 +368,7 @@ func (s *Server) buildWorkload(ctx context.Context, req *AssessRequest, r *clico
 			m, err := desprog.NewFull(opt, energy.DefaultConfig())
 			if err == nil {
 				s.metrics.observeStage("compile", time.Since(start).Seconds())
+				m.Runner().GangCounts = &s.metrics.gang
 			}
 			return m, err
 		})
@@ -370,7 +378,7 @@ func (s *Server) buildWorkload(ctx context.Context, req *AssessRequest, r *clico
 		m := v.(*desprog.Machine)
 		var (
 			src  leakstat.Source
-			win  trace.Window
+			win  leakstat.Region
 			err2 error
 		)
 		winStart := time.Now()
@@ -385,7 +393,7 @@ func (s *Server) buildWorkload(ctx context.Context, req *AssessRequest, r *clico
 			return nil, hit, err2
 		}
 		s.metrics.observeStage("window", time.Since(winStart).Seconds())
-		return &workload{name: "des", src: src, win: win}, hit, nil
+		return &workload{name: "des", src: src, win: win.Window, truncated: win.Truncated}, hit, nil
 	default:
 		k, _ := kernels.ByName(r.Kernel)
 		m, hit, err := s.cachedKernelMachine(ctx, key, k, opt)
@@ -407,6 +415,7 @@ func (s *Server) cachedKernelMachine(ctx context.Context, key cacheKey, k kernel
 		m, err := kernels.Build(k, opt, energy.DefaultConfig())
 		if err == nil {
 			s.metrics.observeStage("compile", time.Since(start).Seconds())
+			m.Runner().GangCounts = &s.metrics.gang
 		}
 		return m, err
 	})
@@ -420,19 +429,13 @@ func (s *Server) cachedKernelMachine(ctx context.Context, key cacheKey, k kernel
 // machine and its masked window.
 func (s *Server) kernelWorkload(ctx context.Context, name string, m *kernels.Machine, secret, public []uint32, mask uint32, r *cliconf.ResolvedAssess, hit bool) (*workload, bool, error) {
 	winStart := time.Now()
-	win, err := leakstat.KernelMaskedWindowContext(ctx, m, secret, public)
+	win, err := leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
 	if err != nil {
 		return nil, hit, err
 	}
-	if r.MaxCycles > 0 {
-		win = win.Clamp(int(r.MaxCycles))
-		if win.Len() <= 0 {
-			return nil, hit, fmt.Errorf("masked window outside the %d-cycle budget", r.MaxCycles)
-		}
-	}
 	s.metrics.observeStage("window", time.Since(winStart).Seconds())
 	src := leakstat.KernelSecretSource(m, secret, public, mask, r.Seed, r.MaxCycles)
-	return &workload{name: name, src: src, win: win}, hit, nil
+	return &workload{name: name, src: src, win: win.Window, truncated: win.Truncated}, hit, nil
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation — the
@@ -572,6 +575,8 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 		Report:   rep,
 		Seconds:  time.Since(start).Seconds(),
 		CacheHit: hit,
+
+		WindowTruncated: wl.truncated,
 	}
 	// Echo the structured selectors when they say more than the flat fields:
 	// legacy policy-only requests keep their historical response shape.

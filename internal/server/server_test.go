@@ -3,12 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"desmask/internal/gang"
+	"desmask/internal/leakstat"
 )
 
 // newTestServer spins up a small leakd instance over httptest.
@@ -86,22 +91,48 @@ func TestAssessDeterministicAcrossRequests(t *testing.T) {
 }
 
 // TestAssessGangMatchesScalar: the gang knob is a pure execution-strategy
-// switch — a gang-scheduled assessment must return the exact scalar verdict.
+// switch. A body without "gang" runs the default gang; it must return the
+// exact Report of the explicit one-lane body ("gang":1) and of a gang-8 body.
 func TestAssessGangMatchesScalar(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, scalar, body := postAssess(t, ts.URL, smallDES(64))
-	if code != http.StatusOK {
-		t.Fatalf("scalar status %d: %s", code, body)
+	var reports []*leakstat.Report
+	for _, gangW := range []int{0, 1, 8} {
+		req := smallDES(64)
+		req.Shards = 2 // 32 traces per shard, so the gangs fill
+		req.Gang = gangW
+		code, resp, body := postAssess(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("gang %d: status %d: %s", gangW, code, body)
+		}
+		reports = append(reports, resp.Report)
 	}
-	req := smallDES(64)
-	req.Gang = 8
-	code, gang, body := postAssess(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("gang status %d: %s", code, body)
+	for i, gangW := range []int{1, 8} {
+		if got, ref := reports[i+1], reports[0]; !reflect.DeepEqual(got, ref) {
+			t.Fatalf("gang %d report diverged from the default:\ndefault %+v\ngang %d  %+v", gangW, ref, gangW, got)
+		}
 	}
-	if scalar.MaxAbsT != gang.MaxAbsT || scalar.MaxTCycle != gang.MaxTCycle ||
-		scalar.Leak != gang.Leak || scalar.CyclesSimulated != gang.CyclesSimulated {
-		t.Fatalf("gang verdict diverged from scalar:\nscalar %+v\ngang   %+v", scalar.Report, gang.Report)
+}
+
+// TestAssessWindowTruncated: a response says when max_cycles cut the
+// assessed region short, and carries no window_truncated key when it did
+// not, so verdicts stored before the key existed replay byte for byte.
+func TestAssessWindowTruncated(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, resp, body := postAssess(t, ts.URL, smallDES(16))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if !resp.WindowTruncated || !strings.Contains(body, `"window_truncated": true`) {
+		t.Fatalf("DES under a 6000-cycle budget: window not reported truncated: %s", body)
+	}
+	tea := smallDES(16)
+	tea.Kernel = "tea" // its masked region ends well inside 6000 cycles
+	code, resp, body = postAssess(t, ts.URL, tea)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if resp.WindowTruncated || strings.Contains(body, "window_truncated") {
+		t.Fatalf("tea's whole masked region fits the budget, yet: %s", body)
 	}
 }
 
@@ -293,6 +324,35 @@ func TestMetrics(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content-type %q", ct)
+	}
+}
+
+// TestMetricsGangCounters: /metrics counts the lanes that ran in lockstep
+// and the lanes replayed one at a time, by deopt reason.
+func TestMetricsGangCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := smallDES(16)
+	req.Shards = 1
+	if code, _, body := postAssess(t, ts.URL, req); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	text := buf.String()
+	// One gang of 16 lanes, none of which diverges on unprotected DES.
+	wants := []string{"leakd_gang_lane_runs_total 16"}
+	for _, reason := range gang.DeoptReasons {
+		wants = append(wants, fmt.Sprintf("leakd_gang_deopts_total{reason=%q} 0", reason))
+	}
+	for _, want := range wants {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, text)
+		}
 	}
 }
 

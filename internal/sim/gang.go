@@ -175,11 +175,12 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	for i := range jobs {
 		l := laneOf[i]
 		if len(reps) > 1 && e.LaneErr(l) != nil {
+			r.GangCounts.addDeopt(e.LaneErr(l))
 			deopt = append(deopt, i)
 			continue
 		}
 		if n > 1 && e.LaneErr(l) == nil {
-			r.gangRuns.Add(1)
+			r.GangCounts.runs.Add(1)
 		}
 		*resAt(i) = r.finish(&jobs[i], e, l, runErr)
 		if i != reps[l] && !traced && end > start {
@@ -189,7 +190,6 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	}
 	// Replays reset the engine, so they run after every gang result is out.
 	for _, i := range deopt {
-		r.gangDeopts.Add(1)
 		replay(i)
 	}
 }

@@ -277,6 +277,11 @@ type Runner struct {
 	// DefaultMaxCycles. Set it once at construction time — it is read
 	// concurrently by batch workers.
 	MaxCycles uint64
+	// GangCounts receives the outcome of every lane that runs in a gang of
+	// two or more. NewRunner gives each runner its own set; a service may
+	// point several runners at one shared set to total them. Like
+	// MaxCycles, set it before the first run.
+	GangCounts *GangCounters
 
 	pool     sync.Pool // *worker
 	uopsOnce sync.Once
@@ -288,16 +293,47 @@ type Runner struct {
 	// cycles counts every simulated cycle the session has executed, for
 	// service observability (leakd's /metrics).
 	cycles atomic.Uint64
-	// gangRuns and gangDeopts count lanes completed in lockstep by a gang of
-	// two or more jobs and lanes peeled off and replayed as one-lane runs.
-	gangRuns   atomic.Uint64
-	gangDeopts atomic.Uint64
+}
+
+// GangCounters counts the lanes that ran in gangs of two or more: those
+// completed in lockstep and those peeled off and replayed as one-lane runs,
+// by deopt reason. It is safe for concurrent use.
+type GangCounters struct {
+	runs   atomic.Uint64
+	deopts [len(gang.DeoptReasons)]atomic.Uint64
+}
+
+// Runs returns the number of lanes completed in lockstep.
+func (c *GangCounters) Runs() uint64 { return c.runs.Load() }
+
+// Deopts returns the number of lanes replayed for reason.
+func (c *GangCounters) Deopts(reason gang.DeoptReason) uint64 {
+	for k, r := range gang.DeoptReasons {
+		if r == reason {
+			return c.deopts[k].Load()
+		}
+	}
+	return 0
+}
+
+// addDeopt counts one lane that left its gang with err, a *gang.DeoptError.
+func (c *GangCounters) addDeopt(err error) {
+	var d *gang.DeoptError
+	if !errors.As(err, &d) {
+		return
+	}
+	for k, r := range gang.DeoptReasons {
+		if r == d.Reason {
+			c.deopts[k].Add(1)
+			return
+		}
+	}
 }
 
 // NewRunner builds a session for the compiled program under the given
 // energy configuration.
 func NewRunner(prog *asm.Program, cfg energy.Config) *Runner {
-	return &Runner{prog: prog, cfg: cfg}
+	return &Runner{prog: prog, cfg: cfg, GangCounts: new(GangCounters)}
 }
 
 // predecoded returns the session's micro-op table, predecoding it once.
@@ -317,12 +353,19 @@ func (r *Runner) Config() energy.Config { return r.cfg }
 func (r *Runner) CyclesSimulated() uint64 { return r.cycles.Load() }
 
 // GangRuns returns the number of lanes completed in lockstep by gangs of two
-// or more jobs since construction.
-func (r *Runner) GangRuns() uint64 { return r.gangRuns.Load() }
+// or more jobs, as counted in GangCounts.
+func (r *Runner) GangRuns() uint64 { return r.GangCounts.Runs() }
 
 // GangDeopts returns the number of lanes that entered a gang but were peeled
-// off and replayed as one-lane runs.
-func (r *Runner) GangDeopts() uint64 { return r.gangDeopts.Load() }
+// off and replayed as one-lane runs, over every reason, as counted in
+// GangCounts.
+func (r *Runner) GangDeopts() uint64 {
+	var n uint64
+	for k := range r.GangCounts.deopts {
+		n += r.GangCounts.deopts[k].Load()
+	}
+	return n
+}
 
 // worker bundles the per-worker reusable simulator state: the pipeline
 // (one lane for scalar jobs, widened on first gang use) and the
