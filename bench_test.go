@@ -308,10 +308,10 @@ func BenchmarkTraceCollection(b *testing.B) {
 	}
 }
 
-// benchCollectWorkers measures batch trace acquisition (the dpa.Collect
-// replacement built on sim.RunBatch) at a fixed worker count, reporting
-// traces per second. Sequential (1) vs parallel (GOMAXPROCS) quantifies the
-// session layer's speedup; both produce bit-identical trace sets.
+// benchCollectWorkers measures dpa.Collect at its default gang width
+// (leakstat.DefaultGang lanes) and a fixed worker count, reporting traces
+// per second. 32 traces fill two gangs of 16, so at most two workers have
+// a gang to run; both worker counts produce bit-identical trace sets.
 func benchCollectWorkers(b *testing.B, workers int) {
 	b.Helper()
 	m, err := desprog.New(compiler.PolicyNone)
@@ -334,11 +334,11 @@ func benchCollectWorkers(b *testing.B, workers int) {
 }
 
 // BenchmarkCollectTraces_Sequential acquires the DPA trace batch on one
-// worker — the pre-session baseline.
+// worker: both gangs run one after the other.
 func BenchmarkCollectTraces_Sequential(b *testing.B) { benchCollectWorkers(b, 1) }
 
 // BenchmarkCollectTraces_Parallel acquires the same batch across GOMAXPROCS
-// workers; on a 4+-core machine this shows the >=3x batch speedup.
+// workers: with two or more CPUs the two gangs run side by side.
 func BenchmarkCollectTraces_Parallel(b *testing.B) { benchCollectWorkers(b, 0) }
 
 // BenchmarkFullKeyAttack prices one full 48-bit round-key attack (8

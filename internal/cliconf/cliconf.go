@@ -230,7 +230,7 @@ func (a *Assess) AddFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&a.Seed, "seed", a.Seed, "seed for group assignment and random inputs")
 	fs.IntVar(&a.Workers, "workers", a.Workers, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&a.Shards, "shards", a.Shards, "fixed shard partition (0 = default 32)")
-	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (0 = default: 16 lanes for TVLA, one lane for dpa-attack; 1 = one lane; the result is identical either way)")
+	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (0 = default: 16 lanes; 1 = one lane; the result is identical either way)")
 	fs.Float64Var(&a.Threshold, "threshold", a.Threshold, "|t| decision threshold (0 = 4.5)")
 	fs.Uint64Var(&a.MaxCycles, "max", a.MaxCycles, "cycle budget per trace (0 = full run; the window is clamped to it, with a warning when that cuts the region short)")
 	fs.StringVar(&a.Key, "key", a.Key, "fixed DES key (hex)")

@@ -7,6 +7,7 @@ import (
 
 	"desmask/internal/aes"
 	"desmask/internal/kernels"
+	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -29,9 +30,10 @@ type AESTraceSet struct {
 }
 
 // CollectAES gathers n AES-kernel energy traces under one key with random
-// plaintext bytes. The plaintexts are drawn up front from the seeded
-// generator and the runs fan out across the kernel's simulation session, so
-// the trace set is byte-identical regardless of worker count.
+// plaintext bytes. The runs fan out across the kernel's simulation session
+// in gangs of leakstat.DefaultGang lanes; the plaintexts are drawn up front
+// from the seeded generator, so the trace set is byte-identical regardless
+// of worker count.
 func CollectAES(m *kernels.Machine, key []uint32, n int, seed int64, maxCycles int) (*AESTraceSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dpa: trace count must be positive")
@@ -47,7 +49,7 @@ func CollectAES(m *kernels.Machine, key []uint32, n int, seed int64, maxCycles i
 	}
 	// The kernel runs to halt; truncate afterwards — AES is short enough
 	// (~42k cycles) that full runs stay cheap.
-	results, err := m.RunBatch(key, plaintexts, true, sim.Options{})
+	results, err := m.RunBatch(key, plaintexts, true, sim.Options{GangWidth: leakstat.DefaultGang})
 	if err != nil {
 		return nil, err
 	}

@@ -29,9 +29,18 @@ import (
 //   - CPA2: CPA on y = (x - mean)². y's mean and M2 come from a Welford pass
 //     over y, not from M4 - M2²/m, which cancels catastrophically on the
 //     two-level samples a noise-free simulator produces.
+//
+// The table holds only the samples that vary. At a sample where every
+// trace holds the same finite value c, Welford's mean is exactly c, every
+// centered value is +0 and so is every row sum; CPA and CPA2 then score +0
+// through their d > 0 guard and DoM scores +0/hM2 = +0. Dropping such a
+// sample and writing +0 back (guessTrace) gives the same bits. M2 == 0 is
+// not the same test: two traces one ulp apart can round M2 to 0 while their
+// centered values, and so DoM, are not zero.
 type classTable struct {
 	stat  Stat
-	segs  [][]float64 // each trace's analysis window
+	keep  []int       // window offset of each varying sample, in order
+	segs  [][]float64 // each trace's varying samples
 	mean  []float64   // per-sample mean of x
 	m2    []float64   // per-sample M2 of the attacked variable: x, or y for CPA2
 	ymean []float64   // per-sample mean of y; nil unless CPA2
@@ -41,24 +50,31 @@ type classTable struct {
 	cnt   []float64 // row -> n_c
 	rows  []float64 // row-major Z_c, one buffer reused across boxes
 	w     []float64 // one guess's centered prediction, per row
-	out   []float64 // one guess's statistic, per sample
+	out   []float64 // one guess's statistic, per varying sample
 }
 
-// newClassTable makes the guess-independent passes over the window of
-// every trace: mean and M2 of x, and for CPA2 the Welford pass over y.
+// newClassTable keeps the window's varying samples of every trace and
+// makes the guess-independent passes over them: mean and M2 of x, and for
+// CPA2 the Welford pass over y.
 func newClassTable(traces [][]float64, win trace.Window, classes int, stat Stat) *classTable {
-	n := win.Len()
 	t := &classTable{
 		stat:  stat,
+		keep:  varying(traces, win),
 		segs:  make([][]float64, len(traces)),
 		rowOf: make([]int, classes),
-		rows:  make([]float64, min(len(traces), classes)*n),
-		out:   make([]float64, n),
 	}
+	n := len(t.keep)
+	t.rows = make([]float64, min(len(traces), classes)*n)
+	t.out = make([]float64, n)
 	x := leakstat.NewVec(n)
+	buf := make([]float64, len(traces)*n)
 	for i, tr := range traces {
-		t.segs[i] = tr[win.Start:win.End]
-		x.AddTrace(t.segs[i])
+		seg := buf[i*n : (i+1)*n]
+		for k, j := range t.keep {
+			seg[k] = tr[win.Start+j]
+		}
+		t.segs[i] = seg
+		x.AddTrace(seg)
 	}
 	t.mean, t.m2 = x.Mean, x.M2
 	if stat == StatCPA2 {
@@ -73,6 +89,33 @@ func newClassTable(traces [][]float64, win trace.Window, classes int, stat Stat)
 		t.ymean, t.m2 = y.Mean, y.M2
 	}
 	return t
+}
+
+// varying returns the window offsets of the samples where some trace
+// differs from the first, or where the first is not finite (x - x is then
+// NaN, and the centered values with it).
+func varying(traces [][]float64, win trace.Window) []int {
+	vary := make([]bool, win.Len())
+	if len(traces) > 0 {
+		first := traces[0][win.Start:win.End]
+		for j, v := range first {
+			vary[j] = v-v != 0
+		}
+		for _, tr := range traces[1:] {
+			for j, v := range tr[win.Start:win.End] {
+				if v != first[j] {
+					vary[j] = true
+				}
+			}
+		}
+	}
+	var keep []int
+	for j, v := range vary {
+		if v {
+			keep = append(keep, j)
+		}
+	}
+	return keep
 }
 
 // fill regroups the table by class(i), the class of trace i, in one pass
@@ -108,10 +151,10 @@ func (t *classTable) fill(class func(i int) int) {
 	}
 }
 
-// guess returns guess g's statistic at every sample, where h(g, c) is its
-// prediction for class c, and the prediction's hM2. hM2 == 0 means the
-// prediction is constant over the traces: the guess is degenerate, carries
-// no signal and scores zero. The slice is reused by the next call.
+// guess returns guess g's statistic at every varying sample, where h(g, c)
+// is its prediction for class c, and the prediction's hM2. hM2 == 0 means
+// the prediction is constant over the traces: the guess is degenerate,
+// carries no signal and scores zero. The slice is reused by the next call.
 func (t *classTable) guess(g int, h func(g, c int) float64) ([]float64, float64) {
 	out := t.out
 	clear(out)
@@ -235,9 +278,14 @@ func attackAll(ts *TraceSet, stat Stat, bit int) [8]BoxResult {
 
 // guessTrace is the one-guess view of the core: guess's statistic for
 // S-box box at every sample of the window, with the table it was read from.
+// Every constant sample scores +0 (see the drop rule above).
 func guessTrace(ts *TraceSet, stat Stat, box, bit int, guess uint32) ([]float64, *classTable) {
 	t := desTable(ts, stat)
 	t.fillBox(ts.Plaintexts, box)
 	out, _ := t.guess(int(guess), predict(stat, box, bit))
-	return out, t
+	full := make([]float64, ts.Window.Len())
+	for k, j := range t.keep {
+		full[j] = out[k]
+	}
+	return full, t
 }

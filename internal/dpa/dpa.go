@@ -16,6 +16,7 @@ import (
 
 	"desmask/internal/des"
 	"desmask/internal/desprog"
+	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -32,8 +33,9 @@ type Config struct {
 	// Workers sizes the acquisition worker pool; <= 0 uses GOMAXPROCS.
 	// Collected trace sets are bit-identical for every worker count.
 	Workers int
-	// Gang is the lockstep gang width (sim.Options.GangWidth): > 1 groups
-	// acquisitions into gang-scheduled lockstep runs. Trace sets are
+	// Gang is the lockstep gang width (sim.Options.GangWidth): acquisitions
+	// run in gang-scheduled lockstep runs of up to Gang lanes, 0 uses
+	// leakstat.DefaultGang and 1 runs one lane at a time. Trace sets are
 	// bit-identical for any gang width; the knob only changes throughput.
 	Gang int
 }
@@ -80,6 +82,9 @@ func Collect(m *desprog.Machine, key uint64, cfg Config) (*TraceSet, error) {
 	plaintexts := make([]uint64, cfg.NumTraces)
 	for i := range plaintexts {
 		plaintexts[i] = rng.Uint64()
+	}
+	if cfg.Gang == 0 {
+		cfg.Gang = leakstat.DefaultGang
 	}
 	results, err := m.EncryptBatch(key, plaintexts, cfg.MaxCycles, true, sim.Options{Workers: cfg.Workers, GangWidth: cfg.Gang})
 	if err != nil {

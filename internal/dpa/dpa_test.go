@@ -8,7 +8,10 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/des"
 	"desmask/internal/desprog"
+	"desmask/internal/energy"
+	"desmask/internal/isa"
 	"desmask/internal/kernels"
+	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
 
@@ -476,37 +479,111 @@ func TestCollectRecordsLengths(t *testing.T) {
 	}
 }
 
+// requireSameSet fails unless two trace sets hold the same plaintexts,
+// trace bits, original lengths, truncation flag and window.
+func requireSameSet(t *testing.T, what string, got, want *TraceSet) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Truncated != want.Truncated || got.Window != want.Window {
+		t.Fatalf("%s: %d traces truncated=%v window %v, want %d truncated=%v window %v",
+			what, got.Len(), got.Truncated, got.Window, want.Len(), want.Truncated, want.Window)
+	}
+	for i := range want.Traces {
+		if got.Plaintexts[i] != want.Plaintexts[i] || got.OrigLens[i] != want.OrigLens[i] ||
+			len(got.Traces[i]) != len(want.Traces[i]) {
+			t.Fatalf("%s trace %d: plaintext %X length %d/%d, want %X %d/%d", what, i,
+				got.Plaintexts[i], len(got.Traces[i]), got.OrigLens[i],
+				want.Plaintexts[i], len(want.Traces[i]), want.OrigLens[i])
+		}
+		for j, v := range want.Traces[i] {
+			if math.Float64bits(got.Traces[i][j]) != math.Float64bits(v) {
+				t.Fatalf("%s trace %d sample %d: %v, want %v", what, i, j, got.Traces[i][j], v)
+			}
+		}
+	}
+}
+
 // TestCollectGangBitIdentity: gang-scheduled acquisition is a pure
-// throughput knob — the collected trace set must be bit-identical to scalar
-// collection for the same seed, per sample.
+// throughput knob. The default gang (0, leakstat.DefaultGang lanes), gangs
+// of 8, and gangs of 4 across 3 workers collect the one-lane trace set bit
+// for bit on every policy and both ISAs, and the default really runs lanes
+// in lockstep. 20 traces leave a partial gang at widths 16 and 8.
 func TestCollectGangBitIdentity(t *testing.T) {
-	m, err := desprog.New(compiler.PolicyNone)
-	if err != nil {
-		t.Fatal(err)
+	builds := []struct {
+		name string
+		opt  compiler.Options
+	}{
+		{"none", compiler.Options{Policy: compiler.PolicyNone}},
+		{"selective", compiler.Options{Policy: compiler.PolicySelective}},
+		{"boolean-mask", compiler.Options{Policy: compiler.PolicyBooleanMask}},
+		{"shuffle", compiler.Options{Policy: compiler.PolicyNone, Shuffle: true}},
 	}
-	cfg := Config{NumTraces: 10, Seed: 42, MaxCycles: 2000}
-	ref, err := Collect(m, attackKey, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers, cfg.Gang = 3, 4
-	got, err := Collect(m, attackKey, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != ref.Len() {
-		t.Fatalf("gang set has %d traces, scalar %d", got.Len(), ref.Len())
-	}
-	for i := range ref.Traces {
-		if got.Plaintexts[i] != ref.Plaintexts[i] {
-			t.Fatalf("trace %d plaintext diverges", i)
+	for _, isaName := range []string{"pisa", "rv32"} {
+		target, ok := isa.TargetByName(isaName)
+		if !ok {
+			t.Fatalf("unknown target %q", isaName)
 		}
-		if len(got.Traces[i]) != len(ref.Traces[i]) {
-			t.Fatalf("trace %d length %d vs %d", i, len(got.Traces[i]), len(ref.Traces[i]))
+		for _, b := range builds {
+			t.Run(isaName+"/"+b.name, func(t *testing.T) {
+				opt := b.opt
+				opt.Target = target
+				m, err := desprog.NewFull(opt, energy.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				collect := func(workers, gang int) *TraceSet {
+					t.Helper()
+					ts, err := Collect(m, attackKey, Config{NumTraces: 20, Seed: 3, MaxCycles: 25_000, Workers: workers, Gang: gang})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ts
+				}
+				ref := collect(2, 1)
+				runs := m.Runner().GangRuns()
+				requireSameSet(t, "default gang", collect(2, 0), ref)
+				if m.Runner().GangRuns() == runs {
+					t.Error("the default gang ran no lane in lockstep")
+				}
+				requireSameSet(t, "gang 8", collect(2, 8), ref)
+				requireSameSet(t, "gang 4, 3 workers", collect(3, 4), ref)
+			})
 		}
-		for j := range ref.Traces[i] {
-			if math.Float64bits(got.Traces[i][j]) != math.Float64bits(ref.Traces[i][j]) {
-				t.Fatalf("trace %d sample %d: gang %v, scalar %v", i, j, got.Traces[i][j], ref.Traces[i][j])
+	}
+}
+
+// TestCollectAESGangMatchesOneLane: CollectAES runs its kernels in gangs,
+// and every trace is the one-lane run's trace, cut to the set's length.
+func TestCollectAESGangMatchesOneLane(t *testing.T) {
+	m, err := kernels.BuildSimple(kernels.AES128(), compiler.PolicyNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := make([]uint32, 16)
+	for i := range key {
+		key[i] = uint32((i*37 + 11) & 0xff)
+	}
+	ts, err := CollectAES(m, key, 20, 7, 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Runner().GangRuns() == 0 {
+		t.Error("CollectAES ran no lane in lockstep")
+	}
+	if ts.Truncated || ts.Window != (trace.Window{Start: 0, End: 12_000}) {
+		t.Fatalf("truncated=%v window %v, want false [0,12000)", ts.Truncated, ts.Window)
+	}
+	ref, err := m.RunBatch(key, ts.Plaintexts, true, sim.Options{GangWidth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ref {
+		want := r.Trace.Totals
+		if ts.OrigLens[i] != len(want) || len(ts.Traces[i]) != 12_000 {
+			t.Fatalf("trace %d: length %d of %d, one lane ran %d", i, len(ts.Traces[i]), ts.OrigLens[i], len(want))
+		}
+		for j, v := range ts.Traces[i] {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("trace %d sample %d: %v, one lane %v", i, j, v, want[j])
 			}
 		}
 	}
