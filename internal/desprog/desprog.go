@@ -322,6 +322,14 @@ func (m *Machine) EntryPC(fn string) (uint32, error) {
 	return addr, nil
 }
 
+// DeclassRegion returns the text range [lo, hi) that declassifies the
+// ciphertext: the output permutation, up to main. Taint leaks there are
+// public by design; a sound policy leaks nowhere else.
+func (m *Machine) DeclassRegion() (lo, hi uint32) {
+	syms := m.Res.Program.Symbols
+	return syms["f_"+FuncOutputPermutation], syms["f_main"]
+}
+
 // Runner returns the machine's simulation session (created on first use):
 // the single path from the compiled DES program to the simulator, and the
 // entry point for parallel batch execution.

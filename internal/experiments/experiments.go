@@ -12,10 +12,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
+	"desmask/internal/cliconf"
 	"desmask/internal/compiler"
 	"desmask/internal/core"
 	"desmask/internal/des"
@@ -28,6 +30,7 @@ import (
 	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
+	"desmask/internal/verdict"
 )
 
 // Default workload: the classic DES walkthrough vector, with the paper's
@@ -517,22 +520,10 @@ func Workloads() ([]WorkloadRow, error) {
 	err = sim.ForEach(len(ks), 0, func(ki int) error {
 		k := ks[ki]
 		row := WorkloadRow{Name: k.Name, UJ: map[compiler.Policy]float64{}}
-		secretLen, publicLen := 16, 16
-		switch k.Name {
-		case "tea":
-			secretLen, publicLen = 4, 2
-		case "sha1":
-			secretLen, publicLen = 5, 16
-		}
-		s1 := make([]uint32, secretLen)
-		s2 := make([]uint32, secretLen)
-		pub := make([]uint32, publicLen)
-		for i := range s1 {
-			s1[i] = uint32(i + 1)
+		s1, pub, _ := kernels.TVLAInputs(k)
+		s2 := make([]uint32, len(s1))
+		for i := range s2 {
 			s2[i] = uint32(201 - i)
-		}
-		for i := range pub {
-			pub[i] = uint32(i * 9)
 		}
 		for _, pol := range pols {
 			m, err := kernels.BuildSimple(k, pol)
@@ -610,29 +601,46 @@ type TVLARow struct {
 	KeyOK     bool
 }
 
-// kernelInputs returns the canonical secret/public inputs and the secret
-// word mask of one kernel (byte-valued state for aes128, full words
-// otherwise), shared by Workloads-style tables.
-func kernelInputs(k kernels.Kernel) (secret, public []uint32, wordMask uint32) {
-	secretLen, publicLen := 16, 16
-	wordMask = 0xffffffff
-	switch k.Name {
-	case "aes128":
-		wordMask = 0xff
-	case "tea":
-		secretLen, publicLen = 4, 2
-	case "sha1":
-		secretLen, publicLen = 5, 16
+// tvla builds one TVLA cell through the verdict front door and runs it:
+// the canonical fixed-vs-random population of kernel at seed 7 (DES varies
+// the key under DefaultPlain), with the protection and target of opt, the
+// statistic at order, and the window clamped to maxCycles (0 = the whole
+// masked region).
+func tvla(kernel string, opt compiler.Options, order, traces, workers int, maxCycles uint64) (*verdict.Workload, *leakstat.Report, error) {
+	a := cliconf.Assess{
+		Kernel:     kernel,
+		Policy:     opt.Policy.String(),
+		Protection: &cliconf.Protection{Shuffle: opt.Shuffle},
+		Attack:     &cliconf.Attack{Order: order},
+		Traces:     traces,
+		Seed:       7,
+		Workers:    workers,
+		MaxCycles:  maxCycles,
+		Key:        fmt.Sprintf("%016X", DefaultKey),
+		Plaintext:  fmt.Sprintf("%016X", DefaultPlain),
 	}
-	secret = make([]uint32, secretLen)
-	public = make([]uint32, publicLen)
-	for i := range secret {
-		secret[i] = uint32(i+1) & wordMask
+	if opt.Target != nil {
+		a.ISA = opt.Target.Name()
 	}
-	for i := range public {
-		public[i] = uint32(i * 9)
+	r, err := a.Validate()
+	if err != nil {
+		return nil, nil, err
 	}
-	return secret, public, wordMask
+	wl, err := verdict.Build(context.Background(), verdict.Request{Params: r}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := leakstat.Assess(wl.Source, wl.Config)
+	return wl, rep, err
+}
+
+// tvlaBudget is the cycle budget of a workload's TVLA cells: DES stops at
+// 25,000 cycles, the kernels run whole.
+func tvlaBudget(kernel string) uint64 {
+	if kernel == "des" {
+		return 25_000
+	}
+	return 0
 }
 
 // TVLATable assesses DES and the kernels under the comparison policies with
@@ -644,44 +652,13 @@ func TVLATable(traces, workers int) ([]TVLARow, error) {
 	pols := []compiler.Policy{compiler.PolicyNone, compiler.PolicySelective, compiler.PolicyAllSecure}
 	var rows []TVLARow
 
-	const desCycles = 25_000
-	for _, pol := range pols {
-		m, err := desprog.New(pol)
-		if err != nil {
-			return nil, err
-		}
-		win, err := leakstat.DESMaskedWindow(m, DefaultKey, DefaultPlain, desCycles)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := leakstat.Assess(
-			leakstat.DESKeySource(m, DefaultKey, DefaultPlain, 7, desCycles),
-			leakstat.Config{NumTraces: traces, Seed: 7, Workers: workers, Window: win})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TVLARow{Workload: "des", Policy: pol, Stat: "tvla", Order: 1,
-			Traces: traces, MaxAbsT: rep.MaxAbsT, Leak: rep.Leak, Recovered: -1})
-	}
-
-	for _, k := range []kernels.Kernel{kernels.AES128(), kernels.TEA(), kernels.SHA1()} {
-		secret, public, mask := kernelInputs(k)
+	for _, k := range []string{"des", "aes128", "tea", "sha1"} {
 		for _, pol := range pols {
-			m, err := kernels.BuildSimple(k, pol)
+			_, rep, err := tvla(k, compiler.Options{Policy: pol}, 1, traces, workers, tvlaBudget(k))
 			if err != nil {
 				return nil, err
 			}
-			win, err := leakstat.KernelMaskedWindow(m, secret, public)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := leakstat.Assess(
-				leakstat.KernelSecretSource(m, secret, public, mask, 7, 0),
-				leakstat.Config{NumTraces: traces, Seed: 7, Workers: workers, Window: win})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, TVLARow{Workload: k.Name, Policy: pol, Stat: "tvla", Order: 1,
+			rows = append(rows, TVLARow{Workload: k, Policy: pol, Stat: "tvla", Order: 1,
 				Traces: traces, MaxAbsT: rep.MaxAbsT, Leak: rep.Leak, Recovered: -1})
 		}
 	}
@@ -720,17 +697,8 @@ const maskCycleBudget = 12_000
 func MaskAttackTable(tvlaTraces, cpaTraces, workers int) ([]TVLARow, error) {
 	var rows []TVLARow
 	for _, shuffle := range []bool{false, true} {
-		m, err := desprog.NewFull(compiler.Options{Policy: compiler.PolicyBooleanMask, Shuffle: shuffle}, energy.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		win, err := leakstat.DESMaskedWindow(m, DefaultKey, DefaultPlain, maskCycleBudget)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := leakstat.Assess(
-			leakstat.DESKeySource(m, DefaultKey, DefaultPlain, 7, maskCycleBudget),
-			leakstat.Config{NumTraces: tvlaTraces, Seed: 7, Workers: workers, Window: win, Order: 2})
+		_, rep, err := tvla("des", compiler.Options{Policy: compiler.PolicyBooleanMask, Shuffle: shuffle},
+			2, tvlaTraces, workers, maskCycleBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -790,53 +758,27 @@ type CrossISARow struct {
 	VerdictsMatch bool
 }
 
-// crossISADES assesses the DES workload under one policy on one target.
-func crossISADES(pol compiler.Policy, target isa.Target, traces, workers int) (out []uint32, maxT float64, leak bool, err error) {
-	const desCycles = 25_000
-	m, err := desprog.NewFull(compiler.Options{Policy: pol, Target: target}, energy.DefaultConfig())
+// crossISA assesses one workload under one policy on one target and runs
+// it once on its canonical inputs for its architectural output.
+func crossISA(kernel string, pol compiler.Policy, target isa.Target, traces, workers int) (out []uint32, maxT float64, leak bool, err error) {
+	wl, rep, err := tvla(kernel, compiler.Options{Policy: pol, Target: target}, 1, traces, workers, tvlaBudget(kernel))
 	if err != nil {
 		return nil, 0, false, err
 	}
-	cipher, _, done, err := m.Encrypt(DefaultKey, DefaultPlain, 0)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if !done {
-		return nil, 0, false, fmt.Errorf("experiments: %s/%s: encryption did not halt", pol, target.Name())
-	}
-	win, err := leakstat.DESMaskedWindow(m, DefaultKey, DefaultPlain, desCycles)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	rep, err := leakstat.Assess(
-		leakstat.DESKeySource(m, DefaultKey, DefaultPlain, 7, desCycles),
-		leakstat.Config{NumTraces: traces, Seed: 7, Workers: workers, Window: win})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return []uint32{uint32(cipher >> 32), uint32(cipher)}, rep.MaxAbsT, rep.Leak, nil
-}
-
-// crossISAKernel assesses one kernel under one policy on one target.
-func crossISAKernel(k kernels.Kernel, pol compiler.Policy, target isa.Target, traces, workers int) (out []uint32, maxT float64, leak bool, err error) {
-	secret, public, mask := kernelInputs(k)
-	m, err := kernels.Build(k, compiler.Options{Policy: pol, Target: target}, energy.DefaultConfig())
-	if err != nil {
-		return nil, 0, false, err
-	}
-	out, _, err = m.Run(secret, public)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	win, err := leakstat.KernelMaskedWindow(m, secret, public)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	rep, err := leakstat.Assess(
-		leakstat.KernelSecretSource(m, secret, public, mask, 7, 0),
-		leakstat.Config{NumTraces: traces, Seed: 7, Workers: workers, Window: win})
-	if err != nil {
-		return nil, 0, false, err
+	if m := wl.DES; m != nil {
+		cipher, _, done, err := m.Encrypt(DefaultKey, DefaultPlain, 0)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if !done {
+			return nil, 0, false, fmt.Errorf("experiments: %s/%s: encryption did not halt", pol, target.Name())
+		}
+		out = []uint32{uint32(cipher >> 32), uint32(cipher)}
+	} else {
+		secret, public, _ := kernels.TVLAInputs(wl.Kernel.Kernel)
+		if out, _, err = wl.Kernel.Run(secret, public); err != nil {
+			return nil, 0, false, err
+		}
 	}
 	return out, rep.MaxAbsT, rep.Leak, nil
 }
@@ -851,27 +793,14 @@ func CrossISATable(traces, workers int) ([]CrossISARow, error) {
 	}
 	pols := []compiler.Policy{compiler.PolicyNone, compiler.PolicySelective}
 
-	type workload struct {
-		name string
-		run  func(pol compiler.Policy, t isa.Target) ([]uint32, float64, bool, error)
-	}
-	wls := []workload{
-		{"des", func(pol compiler.Policy, t isa.Target) ([]uint32, float64, bool, error) {
-			return crossISADES(pol, t, traces, workers)
-		}},
-		{"tea", func(pol compiler.Policy, t isa.Target) ([]uint32, float64, bool, error) {
-			return crossISAKernel(kernels.TEA(), pol, t, traces, workers)
-		}},
-	}
-
 	var rows []CrossISARow
-	for _, wl := range wls {
+	for _, kernel := range []string{"des", "tea"} {
 		for _, pol := range pols {
-			row := CrossISARow{Workload: wl.name, Policy: pol, Traces: traces,
+			row := CrossISARow{Workload: kernel, Policy: pol, Traces: traces,
 				OutputsMatch: true, VerdictsMatch: true}
 			var refOut []uint32
 			for i, t := range targets {
-				out, maxT, leak, err := wl.run(pol, t)
+				out, maxT, leak, err := crossISA(kernel, pol, t, traces, workers)
 				if err != nil {
 					return nil, err
 				}
@@ -1267,9 +1196,7 @@ func VerifyLeaks() ([]LeakVerification, error) {
 	}
 	rows := make([]LeakVerification, len(pols))
 	for i, rep := range reports {
-		prog := machines[i].Res.Program
-		lo := prog.Symbols["f_output_permutation"]
-		hi := prog.Symbols["f_main"]
+		lo, hi := machines[i].DeclassRegion()
 		outside := rep.LeaksOutsideRegion(lo, hi)
 		rows[i] = LeakVerification{
 			Policy:              pols[i],

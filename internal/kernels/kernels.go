@@ -195,6 +195,14 @@ func ByName(name string) (Kernel, bool) {
 	return Kernel{}, false
 }
 
+// DeclassRegion returns the text range [lo, hi) that declassifies the
+// kernel's output: emit_output, up to main. Taint leaks there are public by
+// design; a sound policy leaks nowhere else.
+func (m *Machine) DeclassRegion() (lo, hi uint32) {
+	syms := m.Res.Program.Symbols
+	return syms["f_emit_output"], syms["f_main"]
+}
+
 // MaskedRegionEnd returns the cycle at which the kernel's output emission
 // begins — the end of the region that must be energy-flat across secrets.
 // It is located as the first EX occurrence of the output function's entry.

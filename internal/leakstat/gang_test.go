@@ -6,6 +6,7 @@ package leakstat
 // and the coverage/error contract must not weaken.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -157,13 +158,13 @@ func TestAssessDefaultGangMatchesOneLane(t *testing.T) {
 					t.Fatal(err)
 				}
 				secret, public, mask := kernels.TVLAInputs(k)
-				win, err := KernelMaskedWindow(m, secret, public)
+				reg, err := KernelMaskedWindowContext(context.Background(), m, secret, public, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				src := KernelSecretSource(m, secret, public, mask, 7, 0)
-				ref := assess(t, src, win, 1)
-				requireSameT(t, "default gang", assess(t, src, win, 0), ref)
+				ref := assess(t, src, reg.Window, 1)
+				requireSameT(t, "default gang", assess(t, src, reg.Window, 0), ref)
 				if runs, deopts := m.Runner().GangRuns(), m.Runner().GangDeopts(); runs == 0 || deopts != 0 {
 					t.Errorf("default gang: %d lanes in lockstep, %d deopts; want some and none", runs, deopts)
 				}

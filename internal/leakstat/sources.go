@@ -47,8 +47,8 @@ func DESKeySource(m *desprog.Machine, fixedKey, plaintext uint64, seed int64, ma
 
 // DESPlaintextSource builds the fixed-vs-random-PLAINTEXT population under
 // one key. Use it with a window that starts after the initial permutation
-// (DESRound1Window): the IP region is insecure by design and would flag any
-// policy.
+// (DESRound1WindowContext): the IP region is insecure by design and would
+// flag any policy.
 func DESPlaintextSource(m *desprog.Machine, key, fixedPlain uint64, seed int64, maxCycles uint64) Source {
 	return Source{
 		Runner: m.Runner(),
@@ -171,17 +171,10 @@ func DESMaskedWindowContext(ctx context.Context, m *desprog.Machine, key, plaint
 	return reg, nil
 }
 
-// DESRound1Window locates round 1 of the DES encryption — the window the
-// vary-plaintext population is assessed over, past the insecure initial
-// permutation.
-func DESRound1Window(m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	reg, err := DESRound1WindowContext(context.Background(), m, key, plaintext, maxCycles)
-	return reg.Window, err
-}
-
-// DESRound1WindowContext is DESRound1Window under a cancellable context,
-// reporting whether the budget cut round 1 short. The probe run stops at the
-// budget (probeTrace).
+// DESRound1WindowContext locates round 1 of the DES encryption — the window
+// the vary-plaintext population is assessed over, past the insecure initial
+// permutation — reporting whether the budget cut round 1 short. The probe
+// run stops at the budget (probeTrace).
 func DESRound1WindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (Region, error) {
 	job, err := m.EncryptJob(key, plaintext, 0, true)
 	if err != nil {
@@ -206,17 +199,11 @@ func DESRound1WindowContext(ctx context.Context, m *desprog.Machine, key, plaint
 	return reg, nil
 }
 
-// KernelMaskedWindow locates a kernel's assessment window [0, start of
-// output emission) from one full probe run.
-func KernelMaskedWindow(m *kernels.Machine, secret, public []uint32) (trace.Window, error) {
-	reg, err := KernelMaskedWindowContext(context.Background(), m, secret, public, 0)
-	return reg.Window, err
-}
-
-// KernelMaskedWindowContext is KernelMaskedWindow under a cancellable
-// context and a cycle budget: a maxCycles > 0 budget clamps the window, as
-// for DES, and the report says whether it cut the masked region short. The
-// probe run stops at the budget (probeTrace).
+// KernelMaskedWindowContext locates a kernel's assessment window [0, start
+// of output emission) under a cancellable context and a cycle budget: a
+// maxCycles > 0 budget clamps the window, as for DES, and the report says
+// whether it cut the masked region short. The probe run stops at the budget
+// (probeTrace); without one the probe runs to halt.
 func KernelMaskedWindowContext(ctx context.Context, m *kernels.Machine, secret, public []uint32, maxCycles uint64) (Region, error) {
 	job, err := m.Job(secret, public, true)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"desmask/internal/cliconf"
 	"desmask/internal/jobstore"
 	"desmask/internal/leakstat"
+	"desmask/internal/verdict"
 )
 
 // canonicalRequest is the byte encoding the idempotency key hashes: the
@@ -265,7 +266,8 @@ func (s *Server) closeProgress(jobID string, p *jobProgress) {
 // as it lands, and folds in shard order. Because every executor covers
 // exactly ShardRange of its shard and the fold is FoldReport, the result is
 // bit-identical to an uninterrupted single-node AssessContext.
-func (s *Server) assessSharded(ctx context.Context, jobID string, req *AssessRequest, wl *workload, cfg leakstat.Config) (*leakstat.Report, error) {
+func (s *Server) assessSharded(ctx context.Context, jobID string, req *AssessRequest, wl *verdict.Workload) (*leakstat.Report, error) {
+	cfg := wl.Config
 	shards := leakstat.NumShards(cfg)
 	winLen := cfg.Window.Len()
 	parts := make([]*leakstat.ShardAccum, shards)
@@ -327,7 +329,7 @@ func (s *Server) assessSharded(ctx context.Context, jobID string, req *AssessReq
 		prog.deliver(acc)
 	}
 	runLocal := func(sh int) {
-		acc, err := leakstat.AssessShard(runCtx, wl.src, cfg, sh)
+		acc, err := leakstat.AssessShard(runCtx, wl.Source, cfg, sh)
 		if err != nil {
 			fail(err)
 			return
@@ -465,7 +467,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	wl, _, err := s.buildWorkload(ctx, &req.AssessRequest, resolved)
+	wl, err := s.workload(ctx, &req.AssessRequest, resolved)
 	if err != nil {
 		if ctxErr(err) {
 			s.writeError(w, http.StatusGatewayTimeout, "shard cancelled: %v", err)
@@ -474,9 +476,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "build failed: %v", err)
 		return
 	}
-	cfg := resolved.Config()
-	cfg.Window = wl.win
-	acc, err := leakstat.AssessShard(ctx, wl.src, cfg, req.Shard)
+	acc, err := leakstat.AssessShard(ctx, wl.Source, wl.Config, req.Shard)
 	if err != nil {
 		if ctxErr(err) {
 			s.writeError(w, http.StatusGatewayTimeout, "shard cancelled: %v", err)

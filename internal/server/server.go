@@ -15,14 +15,13 @@
 //   - Observability: /metrics (Prometheus text format), /healthz, and
 //     /debug/pprof.
 //
-// Compiled programs are cached in an LRU keyed by (source identity, policy,
-// optimize), so a repeat submission skips the masking compiler and micro-op
-// predecode and lands on a warm worker pool.
+// Workloads are built through the verdict front door (internal/verdict),
+// whose LRU program cache makes a repeat submission skip the masking
+// compiler and micro-op predecode and land on a warm worker pool.
 package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,14 +32,10 @@ import (
 	"time"
 
 	"desmask/internal/cliconf"
-	"desmask/internal/compiler"
-	"desmask/internal/desprog"
-	"desmask/internal/energy"
 	"desmask/internal/harness"
 	"desmask/internal/jobstore"
-	"desmask/internal/kernels"
 	"desmask/internal/leakstat"
-	"desmask/internal/trace"
+	"desmask/internal/verdict"
 )
 
 // Config sizes the service.
@@ -76,7 +71,7 @@ type Config struct {
 // Server is the leakd HTTP service.
 type Server struct {
 	cfg     Config
-	cache   *programCache
+	cache   *verdict.Cache
 	metrics *metrics
 	sem     chan struct{}
 	mux     *http.ServeMux
@@ -107,10 +102,11 @@ func New(cfg Config) *Server {
 		cfg.Log = log.Default()
 	}
 	baseCtx, baseStop := context.WithCancel(context.Background())
+	m := newMetrics()
 	s := &Server{
 		cfg:      cfg,
-		cache:    newProgramCache(cfg.CacheSize),
-		metrics:  newMetrics(),
+		cache:    verdict.NewCache(cfg.CacheSize, &m.gang),
+		metrics:  m,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
 		log:      cfg.Log,
@@ -149,18 +145,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 type AssessRequest struct {
 	cliconf.Assess
 
-	// Source, when non-empty, submits a MiniC program instead of a named
-	// kernel. The program's secure-annotated secret global, public input
-	// global and output global must be named, and it must define an
-	// emit_output function bounding the masked region. Secret and Public
-	// are the fixed-population input words.
-	Source       string   `json:"source,omitempty"`
-	SecretGlobal string   `json:"secret_global,omitempty"`
-	PublicGlobal string   `json:"public_global,omitempty"`
-	OutputGlobal string   `json:"output_global,omitempty"`
-	OutputLen    int      `json:"output_len,omitempty"`
-	Secret       []uint32 `json:"secret,omitempty"`
-	Public       []uint32 `json:"public,omitempty"`
+	// Custom, when its Source is non-empty, submits a MiniC program instead
+	// of a named kernel.
+	verdict.Custom
 
 	// Optimize compiles with the taint-sound optimizing pass pipeline
 	// (maskcc -O); part of the program-cache key.
@@ -265,9 +252,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.stats()
+	hits, misses := s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, hits, misses, s.cache.len())
+	s.metrics.write(w, hits, misses, s.cache.Len())
 }
 
 // resolve validates the request onto the shared cliconf surface. A submitted
@@ -306,136 +293,22 @@ func (s *Server) resolve(req *AssessRequest) (*cliconf.ResolvedAssess, error) {
 	return r, nil
 }
 
-// workload is a ready-to-assess population: a trace source and its window.
-type workload struct {
-	name string
-	src  leakstat.Source
-	win  trace.Window
-	// truncated reports that the budget cut the window's region short.
-	truncated bool
-}
-
-// cacheKeyFor derives the program-cache key: built-in workloads are keyed by
-// name, submitted source by its SHA-256 (plus the globals that shape the
-// job), and both by (policy, optimize).
-func cacheKeyFor(req *AssessRequest, r *cliconf.ResolvedAssess) cacheKey {
-	src := "workload:" + r.Kernel
+// workload builds the request's workload through the verdict front door and
+// records its stage latencies: compile on a cache miss, window every time.
+func (s *Server) workload(ctx context.Context, req *AssessRequest, r *cliconf.ResolvedAssess) (*verdict.Workload, error) {
+	vreq := verdict.Request{Params: r, Optimize: req.Optimize}
 	if req.Source != "" {
-		h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%s\x00%s\x00%d",
-			req.Source, req.SecretGlobal, req.PublicGlobal, req.OutputGlobal, req.OutputLen)))
-		src = fmt.Sprintf("sha256:%x", h)
+		vreq.Custom = &req.Custom
 	}
-	return cacheKey{Source: src, Policy: r.PolicyV.String(), ISA: r.TargetV.Name(),
-		Optimize: req.Optimize, Shuffle: r.ShuffleV}
-}
-
-// buildWorkload compiles (or fetches from cache) the program and locates the
-// assessment window. The compile stage is only timed on a miss; the window
-// probe run is timed per request. The context is threaded through every
-// expensive stage — cache waits, compiles, and the window-probe simulations
-// — so a request whose deadline has expired stops burning its worker slot
-// at the next stage boundary instead of completing a build nobody will
-// read; the caller maps the context error to 504.
-func (s *Server) buildWorkload(ctx context.Context, req *AssessRequest, r *cliconf.ResolvedAssess) (*workload, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	opt := r.CompilerOptions()
-	opt.Optimize = req.Optimize
-	key := cacheKeyFor(req, r)
-
-	switch {
-	case req.Source != "":
-		k := kernels.Kernel{
-			Name:         "custom",
-			Source:       req.Source,
-			SecretGlobal: req.SecretGlobal,
-			PublicGlobal: req.PublicGlobal,
-			OutputGlobal: req.OutputGlobal,
-			OutputLen:    req.OutputLen,
-		}
-		m, hit, err := s.cachedKernelMachine(ctx, key, k, opt)
-		if err != nil {
-			return nil, hit, err
-		}
-		return s.kernelWorkload(ctx, "custom", m, req.Secret, req.Public, 0xffffffff, r, hit)
-	case r.Kernel == "des":
-		v, hit, err := s.cache.getOrBuild(ctx, key, func() (any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			m, err := desprog.NewFull(opt, energy.DefaultConfig())
-			if err == nil {
-				s.metrics.observeStage("compile", time.Since(start).Seconds())
-				m.Runner().GangCounts = &s.metrics.gang
-			}
-			return m, err
-		})
-		if err != nil {
-			return nil, hit, err
-		}
-		m := v.(*desprog.Machine)
-		var (
-			src  leakstat.Source
-			win  leakstat.Region
-			err2 error
-		)
-		winStart := time.Now()
-		if r.Vary == "plaintext" {
-			src = leakstat.DESPlaintextSource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			win, err2 = leakstat.DESRound1WindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
-		} else {
-			src = leakstat.DESKeySource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			win, err2 = leakstat.DESMaskedWindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
-		}
-		if err2 != nil {
-			return nil, hit, err2
-		}
-		s.metrics.observeStage("window", time.Since(winStart).Seconds())
-		return &workload{name: "des", src: src, win: win.Window, truncated: win.Truncated}, hit, nil
-	default:
-		k, _ := kernels.ByName(r.Kernel)
-		m, hit, err := s.cachedKernelMachine(ctx, key, k, opt)
-		if err != nil {
-			return nil, hit, err
-		}
-		secret, public, mask := kernels.TVLAInputs(k)
-		return s.kernelWorkload(ctx, r.Kernel, m, secret, public, mask, r, hit)
-	}
-}
-
-// cachedKernelMachine fetches or builds a kernels.Machine under the cache.
-func (s *Server) cachedKernelMachine(ctx context.Context, key cacheKey, k kernels.Kernel, opt compiler.Options) (*kernels.Machine, bool, error) {
-	v, hit, err := s.cache.getOrBuild(ctx, key, func() (any, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		m, err := kernels.Build(k, opt, energy.DefaultConfig())
-		if err == nil {
-			s.metrics.observeStage("compile", time.Since(start).Seconds())
-			m.Runner().GangCounts = &s.metrics.gang
-		}
-		return m, err
-	})
+	wl, err := verdict.Build(ctx, vreq, s.cache)
 	if err != nil {
-		return nil, hit, err
+		return nil, err
 	}
-	return v.(*kernels.Machine), hit, nil
-}
-
-// kernelWorkload assembles the fixed-vs-random-secret population of a kernel
-// machine and its masked window.
-func (s *Server) kernelWorkload(ctx context.Context, name string, m *kernels.Machine, secret, public []uint32, mask uint32, r *cliconf.ResolvedAssess, hit bool) (*workload, bool, error) {
-	winStart := time.Now()
-	win, err := leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
-	if err != nil {
-		return nil, hit, err
+	if !wl.CacheHit {
+		s.metrics.observeStage("compile", wl.Compile.Seconds())
 	}
-	s.metrics.observeStage("window", time.Since(winStart).Seconds())
-	src := leakstat.KernelSecretSource(m, secret, public, mask, r.Seed, r.MaxCycles)
-	return &workload{name: name, src: src, win: win.Window, truncated: win.Truncated}, hit, nil
+	s.metrics.observeStage("window", wl.Window.Seconds())
+	return wl, nil
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation — the
@@ -536,7 +409,7 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 		}
 	}
 	start := time.Now()
-	wl, hit, err := s.buildWorkload(ctx, req, resolved)
+	wl, err := s.workload(ctx, req, resolved)
 	if err != nil {
 		if ctxErr(err) {
 			return nil, err
@@ -544,14 +417,12 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 		return nil, fmt.Errorf("build failed: %w", err)
 	}
 
-	cfg := resolved.Config()
-	cfg.Window = wl.win
 	assessStart := time.Now()
 	var rep *leakstat.Report
 	if jobID != "" || len(s.cfg.ShardWorkers) > 0 {
-		rep, err = s.assessSharded(ctx, jobID, req, wl, cfg)
+		rep, err = s.assessSharded(ctx, jobID, req, wl)
 	} else {
-		rep, err = leakstat.AssessContext(ctx, wl.src, cfg)
+		rep, err = leakstat.AssessContext(ctx, wl.Source, wl.Config)
 	}
 	if err != nil {
 		if ctxErr(err) {
@@ -562,21 +433,17 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 	s.metrics.observeStage("assess", time.Since(assessStart).Seconds())
 	s.metrics.cyclesSimulated.Add(rep.CyclesSimulated)
 
-	vary := resolved.Vary
-	if wl.name != "des" {
-		vary = "secret"
-	}
 	resp := &AssessResponse{
-		Workload: wl.name,
+		Workload: wl.Name,
 		Policy:   resolved.PolicyV.String(),
 		ISA:      resolved.TargetV.Name(),
-		Vary:     vary,
+		Vary:     wl.Vary,
 		Optimize: req.Optimize,
 		Report:   rep,
 		Seconds:  time.Since(start).Seconds(),
-		CacheHit: hit,
+		CacheHit: wl.CacheHit,
 
-		WindowTruncated: wl.truncated,
+		WindowTruncated: wl.Region.Truncated,
 	}
 	// Echo the structured selectors when they say more than the flat fields:
 	// legacy policy-only requests keep their historical response shape.

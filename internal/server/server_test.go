@@ -14,6 +14,7 @@ import (
 
 	"desmask/internal/gang"
 	"desmask/internal/leakstat"
+	"desmask/internal/verdict"
 )
 
 // newTestServer spins up a small leakd instance over httptest.
@@ -154,7 +155,7 @@ func TestAssessCacheHit(t *testing.T) {
 	if !rep.CacheHit {
 		t.Fatal("repeat submission missed the program cache")
 	}
-	if hits, misses := s.cache.stats(); hits != 1 || misses != 1 {
+	if hits, misses := s.cache.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", hits, misses)
 	}
 }
@@ -280,7 +281,7 @@ func TestAssessCrossISA(t *testing.T) {
 			t.Fatalf("isa=%s: first build reported a cache hit — ISA missing from the cache key", isaName)
 		}
 	}
-	if _, misses := s.cache.stats(); misses != 2 {
+	if _, misses := s.cache.Stats(); misses != 2 {
 		t.Fatalf("cache misses = %d, want 2 (one per backend)", misses)
 	}
 	// An omitted isa field is the PISA build — it must hit the PISA entry.
@@ -395,7 +396,7 @@ void main() {
 }
 `
 	_, ts := newTestServer(t, Config{})
-	req := AssessRequest{
+	req := AssessRequest{Custom: verdict.Custom{
 		Source:       src,
 		SecretGlobal: "key",
 		PublicGlobal: "pt",
@@ -403,7 +404,7 @@ void main() {
 		OutputLen:    2,
 		Secret:       []uint32{0xDEAD, 0xBEEF},
 		Public:       []uint32{1, 2},
-	}
+	}}
 	req.Policy = "none"
 	req.Traces = 32
 	req.Workers = 2
@@ -483,8 +484,8 @@ void main() { emit_output(); }
 		{"public", func(r *AssessRequest) { r.Public = []uint32{1, 2, 3} }},
 		{"output_len", func(r *AssessRequest) { r.OutputLen = 5 }},
 	} {
-		req := AssessRequest{Source: src, SecretGlobal: "k", PublicGlobal: "p", OutputGlobal: "out",
-			OutputLen: 2, Secret: []uint32{1, 2}, Public: []uint32{3, 4}}
+		req := AssessRequest{Custom: verdict.Custom{Source: src, SecretGlobal: "k", PublicGlobal: "p",
+			OutputGlobal: "out", OutputLen: 2, Secret: []uint32{1, 2}, Public: []uint32{3, 4}}}
 		req.Policy = "none"
 		req.Traces = 8
 		tc.edit(&req)
