@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"desmask/internal/compiler"
-	"desmask/internal/cpu"
 	"desmask/internal/des"
 	"desmask/internal/energy"
 	"desmask/internal/harness"
@@ -371,11 +370,11 @@ func (m *Machine) EncryptJobSeeded(key, plaintext uint64, maskSeed int64, maxCyc
 	return job, nil
 }
 
-// Encrypt runs one encryption through the simulation session, attaching any
-// extra probes for the run. maxCycles <= 0 uses MaxCycles; when the budget
-// expires before completion (useful for first-round-only attack traces) the
-// partial result is returned with done == false.
-func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64, probes ...cpu.Probe) (cipherText uint64, stats sim.Stats, done bool, err error) {
+// Encrypt runs one encryption through the simulation session. maxCycles
+// <= 0 uses MaxCycles; when the budget expires before completion (useful for
+// first-round-only attack traces) the partial result is returned with
+// done == false.
+func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64) (cipherText uint64, stats sim.Stats, done bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = MaxCycles
 	}
@@ -383,7 +382,6 @@ func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64, probes ...cpu
 	if err != nil {
 		return 0, sim.Stats{}, false, err
 	}
-	job.Probe = sim.SharedProbes(probes...)
 	res := m.Runner().Run(job)
 	if res.Err != nil {
 		return 0, sim.Stats{}, false, res.Err

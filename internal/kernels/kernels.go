@@ -117,13 +117,12 @@ func (m *Machine) output(res sim.Result) ([]uint32, sim.Stats, error) {
 
 // Run executes the kernel through the simulation session with the secret
 // and public inputs poked into their global arrays, returning the output
-// array and run statistics. Extra probes are attached for this run.
-func (m *Machine) Run(secret, public []uint32, probes ...cpu.Probe) ([]uint32, sim.Stats, error) {
+// array and run statistics.
+func (m *Machine) Run(secret, public []uint32) ([]uint32, sim.Stats, error) {
 	job, err := m.Job(secret, public, false)
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	job.Probe = sim.SharedProbes(probes...)
 	return m.output(m.Runner().Run(job))
 }
 

@@ -180,105 +180,48 @@ func Assess(src Source, cfg Config) (*Report, error) {
 // cancellation every partial shard accumulator is discarded and only the
 // context's error is returned — a cancelled assessment never yields a
 // truncated (and therefore statistically weaker) verdict. Uncancelled runs
-// are bit-identical to Assess.
+// are bit-identical to Assess. It is the shard driver (Fold.Run) over an
+// empty fold.
 func AssessContext(ctx context.Context, src Source, cfg Config) (*Report, error) {
-	p, err := newPlan(cfg)
+	f, err := NewFold(cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*ShardAccum, p.shards)
-	err = sim.ForEachContext(ctx, p.shards, cfg.Workers, func(s int) error {
-		acc, serr := p.runShard(ctx, src, s)
-		if serr != nil {
-			return serr
-		}
-		parts[s] = acc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FoldReport(cfg, parts)
+	return f.Run(ctx, src, nil, nil)
 }
 
 // AssessShard runs exactly one shard of the assessment described by cfg:
 // traces ShardRange(shard, …) of the population, reduced into a fresh
 // accumulator pair. It executes the identical per-trace code path as
-// AssessContext — AssessContext is a fan-out over AssessShard plus
-// FoldReport — so a shard computed here (possibly in another process) and
+// AssessContext, so a shard computed here (possibly in another process) and
 // folded in shard order reproduces the single-node verdict bit for bit.
 func AssessShard(ctx context.Context, src Source, cfg Config, shard int) (*ShardAccum, error) {
 	p, err := newPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if shard < 0 || shard >= p.shards {
-		return nil, fmt.Errorf("leakstat: shard %d out of range [0,%d)", shard, p.shards)
-	}
 	return p.runShard(ctx, src, shard)
 }
 
-// FoldReport merges per-shard accumulators in shard-index order — the one
-// reduction tree, regardless of which worker or which machine produced each
-// shard — and computes the verdict. parts must hold every shard of the
-// normalized partition exactly once; the fold performs the exact Merge
-// sequence of a single-node assessment, so the resulting t-vector is
+// FoldReport merges per-shard accumulators through a Fold — in shard-index
+// order, the one reduction tree, regardless of which worker or which machine
+// produced each shard — and computes the verdict. parts must hold every
+// shard of the normalized partition exactly once; the resulting t-vector is
 // bit-identical to AssessContext over the same configuration.
 func FoldReport(cfg Config, parts []*ShardAccum) (*Report, error) {
-	p, err := newPlan(cfg)
+	f, err := NewFold(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) != p.shards {
-		return nil, fmt.Errorf("leakstat: folding %d shard accumulators, want %d", len(parts), p.shards)
+	if len(parts) != f.p.shards {
+		return nil, fmt.Errorf("leakstat: folding %d shard accumulators, want %d", len(parts), f.p.shards)
 	}
-	F, R := NewVecOrder(p.L, p.order), NewVecOrder(p.L, p.order)
-	stateBytes := F.StateBytes() + R.StateBytes()
-	var cycles uint64
-	for s, acc := range parts {
-		if acc == nil || acc.Fixed == nil || acc.Random == nil {
-			return nil, fmt.Errorf("leakstat: missing accumulator for shard %d", s)
-		}
-		if acc.Shard != s {
-			return nil, fmt.Errorf("leakstat: shard %d accumulator at fold position %d", acc.Shard, s)
-		}
-		stateBytes += acc.Fixed.StateBytes() + acc.Random.StateBytes()
-		cycles += acc.Cycles
-		if err := F.Merge(acc.Fixed); err != nil {
-			return nil, err
-		}
-		if err := R.Merge(acc.Random); err != nil {
+	for _, acc := range parts {
+		if err := f.Add(acc); err != nil {
 			return nil, err
 		}
 	}
-	var t []float64
-	if p.order >= 2 {
-		t, err = WelchT2(F, R)
-	} else {
-		t, err = WelchT(F, R)
-	}
-	if err != nil {
-		return nil, err
-	}
-	peak, at := MaxAbs(t)
-	return &Report{
-		NumTraces:       cfg.NumTraces,
-		FixedN:          p.nFixed,
-		RandomN:         cfg.NumTraces - p.nFixed,
-		Shards:          p.shards,
-		WindowStart:     p.win.Start,
-		WindowEnd:       p.win.End,
-		Order:           p.order,
-		Threshold:       p.threshold,
-		MaxAbsT:         clampFinite(peak),
-		MaxTCycle:       p.win.Start + at,
-		Leak:            peak > p.threshold,
-		StateBytes:      stateBytes,
-		CyclesSimulated: cycles,
-		T:               t,
-		Fixed:           F,
-		Random:          R,
-	}, nil
+	return f.Report()
 }
 
 // plan is a validated, normalized assessment configuration plus the derived
@@ -344,6 +287,9 @@ func newPlan(cfg Config) (*plan, error) {
 
 // runShard executes one shard's trace range into a fresh accumulator pair.
 func (p *plan) runShard(ctx context.Context, src Source, s int) (*ShardAccum, error) {
+	if s < 0 || s >= p.shards {
+		return nil, fmt.Errorf("leakstat: shard %d out of range [0,%d)", s, p.shards)
+	}
 	if src.Runner == nil || src.Job == nil {
 		return nil, fmt.Errorf("leakstat: source needs a Runner and a Job constructor")
 	}

@@ -69,6 +69,71 @@ func TestAssessShardFoldBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFoldResumeAndRejects: a fold rejects a repeated shard, one outside
+// the partition, and accumulators of another window length or order,
+// leaving itself unchanged. The driver over a fold that already holds a
+// shard computes only the rest, calls its hook once per shard with the fold
+// as that shard left it, and lands the from-scratch verdict, whose max|t|
+// the final prefix carries bit for bit.
+func TestFoldResumeAndRejects(t *testing.T) {
+	src, cfg := shardTestSource(t)
+	ref, err := Assess(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFold(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := AssessShard(context.Background(), src, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Add(held); err != nil {
+		t.Fatal(err)
+	}
+	L := cfg.Window.Len()
+	for i, bad := range []*ShardAccum{
+		held,
+		nil,
+		{Shard: NumShards(cfg), Fixed: NewVec(L), Random: NewVec(L)},
+		{Shard: 3, Fixed: NewVec(L + 1), Random: NewVec(L + 1)},
+		{Shard: 3, Fixed: NewVecOrder(L, 2), Random: NewVecOrder(L, 2)},
+	} {
+		if err := f.Add(bad); err == nil {
+			t.Fatalf("bad shard %d accepted", i)
+		}
+	}
+	if pr := f.Progress(); pr.Held != 1 || pr.Prefix != 0 || pr.MaxAbsT != 0 {
+		t.Fatalf("progress after one out-of-order shard: %+v", pr)
+	}
+	var seen []int
+	rep, err := f.Run(context.Background(), src, nil, func(acc *ShardAccum) {
+		seen = append(seen, acc.Shard)
+		if pr := f.Progress(); pr.Held != 1+len(seen) {
+			t.Errorf("hook for shard %d sees %d shards held, want %d", acc.Shard, pr.Held, 1+len(seen))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != NumShards(cfg)-1 {
+		t.Fatalf("driver computed shards %v, want all but shard 2", seen)
+	}
+	for _, s := range seen {
+		if s == 2 {
+			t.Fatalf("driver recomputed held shard 2: %v", seen)
+		}
+	}
+	if math.Float64bits(rep.MaxAbsT) != math.Float64bits(ref.MaxAbsT) || rep.StateBytes != ref.StateBytes ||
+		rep.CyclesSimulated != ref.CyclesSimulated {
+		t.Fatalf("resumed verdict %+v, from scratch %+v", rep, ref)
+	}
+	if pr := f.Progress(); pr.Prefix != pr.Shards || math.Float64bits(pr.MaxAbsT) != math.Float64bits(rep.MaxAbsT) {
+		t.Fatalf("final progress %+v, verdict max|t| %v", pr, rep.MaxAbsT)
+	}
+}
+
 // TestShardAccumRoundTrip: serialization carries the exact float64 bit
 // patterns, so a round-tripped shard folds bit-identically.
 func TestShardAccumRoundTrip(t *testing.T) {

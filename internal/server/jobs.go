@@ -2,13 +2,13 @@
 //
 // This file is the coordinator half of the distributed assessment design
 // (DESIGN.md §15). One assessment is a fixed partition of NumShards shard
-// sub-jobs; each sub-job is leakstat.AssessShard over its contiguous trace
-// range, executed either in-process or on a peer leakd via POST /v1/shard,
-// and its accumulator pair is persisted (jobstore) the moment it completes.
-// The coordinator folds accumulators in shard order (leakstat.FoldReport),
-// so the merged t-vector is bit-identical to a single-node run no matter
-// which machine computed which shard, how execution interleaved, or how many
-// times a crash forced a resume.
+// sub-jobs, run by leakstat's shard driver (leakstat.Fold.Run); each sub-job
+// covers its contiguous trace range, executed either in-process or on a peer
+// leakd via POST /v1/shard, and its accumulator pair is persisted (jobstore)
+// the moment the fold takes it. The fold merges in shard order, so the
+// merged t-vector is bit-identical to a single-node run no matter which
+// machine computed which shard, how execution interleaved, or how many times
+// a crash forced a resume.
 package server
 
 import (
@@ -107,77 +107,52 @@ type progressEvent struct {
 	Final bool `json:"final,omitempty"`
 }
 
-// jobProgress tracks one executing job's per-shard completion and maintains
-// the progressive prefix fold: completed accumulators merge in shard order
-// as soon as the contiguous prefix extends. Merging only ever appends to the
-// prefix — the identical Merge sequence FoldReport performs — so every
-// streamed t-statistic is the bit-exact verdict of its prefix population.
-// All methods are nil-receiver safe: a non-durable assessment simply has no
-// progress to track.
+// jobProgress streams one executing job's fold to its subscribers: every
+// frame reads the driver's fold (leakstat.Fold), so the prefix t-statistic a
+// frame carries is the one the verdict reports, at the job's order and
+// clamped like it. All methods are nil-receiver safe: a non-durable
+// assessment simply has no progress to track.
 type jobProgress struct {
-	mu      sync.Mutex
-	total   int
-	done    int
-	pending map[int]*leakstat.ShardAccum
-	prefix  int
-	fixed   *leakstat.Vec
-	random  *leakstat.Vec
-	last    progressEvent
-	subs    map[chan progressEvent]struct{}
-	closed  bool
+	fold   *leakstat.Fold
+	mu     sync.Mutex
+	shard  int // the shard delivered last (-1 before any)
+	subs   map[chan progressEvent]struct{}
+	closed bool
 }
 
-func newJobProgress(winLen, total int) *jobProgress {
-	return &jobProgress{
-		total:   total,
-		pending: make(map[int]*leakstat.ShardAccum),
-		fixed:   leakstat.NewVec(winLen),
-		random:  leakstat.NewVec(winLen),
-		last:    progressEvent{Shard: -1, Total: total},
-		subs:    make(map[chan progressEvent]struct{}),
+func newJobProgress(fold *leakstat.Fold) *jobProgress {
+	return &jobProgress{fold: fold, shard: -1, subs: make(map[chan progressEvent]struct{})}
+}
+
+// frame returns the frame of the fold as it stands. Callers hold p.mu.
+func (p *jobProgress) frame() progressEvent {
+	pr := p.fold.Progress()
+	return progressEvent{
+		Shard:         p.shard,
+		Done:          pr.Held,
+		Total:         pr.Shards,
+		PrefixShards:  pr.Prefix,
+		PrefixMaxAbsT: pr.MaxAbsT,
+		Final:         pr.Held == pr.Shards,
 	}
 }
 
-// deliver records one completed shard, advances the prefix fold, and
-// broadcasts a frame to subscribers.
+// deliver broadcasts the frame of a shard the fold just took. The driver
+// calls it before the fold takes another shard, so the frame is exactly the
+// state that shard left.
 func (p *jobProgress) deliver(acc *leakstat.ShardAccum) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if acc.Shard < p.prefix {
-		return
-	}
-	if _, dup := p.pending[acc.Shard]; dup {
-		return
-	}
-	p.pending[acc.Shard] = acc
-	p.done++
-	for {
-		next, ok := p.pending[p.prefix]
-		if !ok {
-			break
-		}
-		if p.fixed.Merge(next.Fixed) != nil || p.random.Merge(next.Random) != nil {
-			break
-		}
-		delete(p.pending, p.prefix)
-		p.prefix++
-	}
-	p.last = progressEvent{
-		Shard:        acc.Shard,
-		Done:         p.done,
-		Total:        p.total,
-		PrefixShards: p.prefix,
-		Final:        p.done == p.total,
-	}
+	p.shard = acc.Shard
 	if len(p.subs) == 0 {
 		// Nobody reads this frame; subscribe computes the snapshot's
 		// t-statistic if someone attaches later.
 		return
 	}
-	ev := p.withPrefixT(p.last)
+	ev := p.frame()
 	for ch := range p.subs {
 		select {
 		case ch <- ev:
@@ -186,25 +161,14 @@ func (p *jobProgress) deliver(acc *leakstat.ShardAccum) {
 	}
 }
 
-// withPrefixT returns ev carrying the max |t| of the current prefix fold, a
-// full-window Welch test. WelchT needs two traces per population; the
-// earliest prefixes may not have them yet, in which case the frame carries
-// no t-statistic. Callers hold p.mu.
-func (p *jobProgress) withPrefixT(ev progressEvent) progressEvent {
-	if p.fixed.N() >= 2 && p.random.N() >= 2 {
-		if t, err := leakstat.WelchT(p.fixed, p.random); err == nil {
-			ev.PrefixMaxAbsT, _ = leakstat.MaxAbs(t)
-		}
-	}
-	return ev
-}
-
 // subscribe returns a channel primed with the current snapshot frame.
 func (p *jobProgress) subscribe() chan progressEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ch := make(chan progressEvent, 2*p.total+2)
-	ch <- p.withPrefixT(p.last)
+	ev := p.frame()
+	// Room for the snapshot and one frame per shard, twice over.
+	ch := make(chan progressEvent, 2*ev.Total+2)
+	ch <- ev
 	if p.closed {
 		close(ch)
 		return ch
@@ -237,11 +201,11 @@ func (p *jobProgress) shut() {
 }
 
 // openProgress registers live progress tracking for a durable job.
-func (s *Server) openProgress(jobID string, winLen, total int) *jobProgress {
+func (s *Server) openProgress(jobID string, fold *leakstat.Fold) *jobProgress {
 	if jobID == "" {
 		return nil
 	}
-	p := newJobProgress(winLen, total)
+	p := newJobProgress(fold)
 	s.progressM.Lock()
 	s.progress[jobID] = p
 	s.progressM.Unlock()
@@ -260,62 +224,38 @@ func (s *Server) closeProgress(jobID string, p *jobProgress) {
 	p.shut()
 }
 
-// assessSharded is the shard coordinator: it resumes from whatever shard
-// accumulators the store already holds, computes the missing shards (fanned
-// across peer workers when configured, in-process otherwise), persists each
-// as it lands, and folds in shard order. Because every executor covers
-// exactly ShardRange of its shard and the fold is FoldReport, the result is
-// bit-identical to an uninterrupted single-node AssessContext.
+// assessSharded runs an assessment through the shard driver: it resumes
+// from whatever shard accumulators the store already holds, computes the
+// missing shards (on peer workers when configured, in-process otherwise),
+// and persists and streams each as the fold takes it. Because every executor
+// covers exactly ShardRange of its shard and the fold merges in shard order,
+// the result is bit-identical to an uninterrupted single-node AssessContext.
 func (s *Server) assessSharded(ctx context.Context, jobID string, req *AssessRequest, wl *verdict.Workload) (*leakstat.Report, error) {
+	exec, workers := s.peerExec(req, wl)
 	cfg := wl.Config
-	shards := leakstat.NumShards(cfg)
-	winLen := cfg.Window.Len()
-	parts := make([]*leakstat.ShardAccum, shards)
+	cfg.Workers = workers
+	fold, err := leakstat.NewFold(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if jobID != "" {
 		stored, err := s.cfg.Store.Shards(jobID)
 		if err != nil && !errors.Is(err, jobstore.ErrNotFound) {
 			return nil, err
 		}
-		for i, acc := range stored {
+		for _, acc := range stored {
 			// A shard file that doesn't match this partition (window drift,
 			// stray index) reads as "not computed"; corrupt files were
 			// already dropped by the store's CRC check.
-			if i >= 0 && i < shards && acc.Fixed.Len() == winLen && acc.Random.Len() == winLen {
-				parts[i] = acc
+			if err := fold.Add(acc); err != nil {
+				s.log.Printf("leakd: stored shard of %s not used: %v", jobID, err)
 			}
 		}
 	}
 
-	prog := s.openProgress(jobID, winLen, shards)
+	prog := s.openProgress(jobID, fold)
 	defer s.closeProgress(jobID, prog)
-
-	var missing []int
-	for i, acc := range parts {
-		if acc != nil {
-			prog.deliver(acc)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return leakstat.FoldReport(cfg, parts)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	finish := func(acc *leakstat.ShardAccum) {
+	return fold.Run(ctx, wl.Source, exec, func(acc *leakstat.ShardAccum) {
 		if jobID != "" {
 			if err := s.cfg.Store.PutShard(jobID, acc); err != nil {
 				// Persistence is best-effort per shard: losing one file only
@@ -323,73 +263,53 @@ func (s *Server) assessSharded(ctx context.Context, jobID string, req *AssessReq
 				s.log.Printf("leakd: persisting shard %d of %s: %v", acc.Shard, jobID, err)
 			}
 		}
-		mu.Lock()
-		parts[acc.Shard] = acc
-		mu.Unlock()
 		prog.deliver(acc)
-	}
-	runLocal := func(sh int) {
-		acc, err := leakstat.AssessShard(runCtx, wl.Source, cfg, sh)
-		if err != nil {
-			fail(err)
-			return
-		}
-		finish(acc)
-	}
+	})
+}
 
-	work := make(chan int)
-	var wg sync.WaitGroup
-	local := cfg.Workers
-	if local <= 0 {
-		local = runtime.GOMAXPROCS(0)
+// peerExec returns the shard driver's executor and worker count. With peer
+// workers configured, each of the request's local worker slots and each
+// peer computes one shard at a time: a shard goes to whichever frees first,
+// and a shard a peer failed runs in a local slot. Without peers it returns
+// nil, the driver's in-process executor, and the request's worker count.
+func (s *Server) peerExec(req *AssessRequest, wl *verdict.Workload) (func(context.Context, int) (*leakstat.ShardAccum, error), int) {
+	peers := s.cfg.ShardWorkers
+	if len(peers) == 0 {
+		return nil, wl.Config.Workers
 	}
-	for w := 0; w < local; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range work {
-				runLocal(sh)
-			}
-		}()
+	idle := make(chan string, len(peers))
+	for _, base := range peers {
+		idle <- base
 	}
-	for _, base := range s.cfg.ShardWorkers {
-		base := base
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range work {
-				acc, err := s.remoteShard(runCtx, base, req, sh, winLen)
-				if err != nil {
-					if runCtx.Err() != nil {
-						fail(runCtx.Err())
-						return
-					}
-					// A sick worker degrades throughput, never the verdict:
-					// its shard runs locally instead.
-					s.log.Printf("leakd: worker %s shard %d: %v (running locally)", base, sh, err)
-					runLocal(sh)
-					continue
-				}
-				finish(acc)
-			}
-		}()
+	workers := wl.Config.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	for _, sh := range missing {
+	local := make(chan struct{}, workers)
+	winLen := wl.Config.Window.Len()
+	return func(ctx context.Context, sh int) (*leakstat.ShardAccum, error) {
 		select {
-		case work <- sh:
-		case <-runCtx.Done():
+		case base := <-idle:
+			acc, err := s.remoteShard(ctx, base, req, sh, winLen)
+			idle <- base
+			if err == nil || ctx.Err() != nil {
+				return acc, err
+			}
+			// A sick worker degrades throughput, never the verdict: its
+			// shard runs locally instead.
+			s.log.Printf("leakd: worker %s shard %d: %v (running locally)", base, sh, err)
+			select {
+			case local <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case local <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-	}
-	close(work)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return leakstat.FoldReport(cfg, parts)
+		defer func() { <-local }()
+		return leakstat.AssessShard(ctx, wl.Source, wl.Config, sh)
+	}, workers + len(peers)
 }
 
 // shardRequest is the wire form of one shard sub-job: the full assessment
@@ -446,9 +366,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req shardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -516,9 +434,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{"jobs": recs})
 	case http.MethodPost:
 		var req AssessRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -604,6 +520,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, rec *jobstore
 	writeFrame := func(ev progressEvent) {
 		data, err := json.Marshal(ev)
 		if err != nil {
+			s.log.Printf("leakd: encoding stream frame of job %s: %v", rec.ID, err)
 			return
 		}
 		fmt.Fprintf(w, "data: %s\n\n", data)
@@ -672,21 +589,7 @@ func (s *Server) spawnJob(req *AssessRequest, resolved *cliconf.ResolvedAssess, 
 		defer s.metrics.running.Add(-1)
 
 		resp, err := s.execute(ctx, req, resolved, id)
-		switch {
-		case err == nil:
-			s.completeJob(id, resp)
-			s.metrics.jobDone("completed")
-		case ctxErr(err):
-			if rerr := s.cfg.Store.Requeue(id); rerr != nil {
-				s.log.Printf("leakd: requeueing job %s: %v", id, rerr)
-			}
-			s.metrics.jobDone("timeout")
-		default:
-			if ferr := s.cfg.Store.Fail(id, err.Error()); ferr != nil {
-				s.log.Printf("leakd: failing job %s: %v", id, ferr)
-			}
-			s.metrics.jobDone("failed")
-		}
+		s.finishJob(id, resp, err)
 	}()
 	return true
 }

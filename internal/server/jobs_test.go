@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"desmask/internal/cliconf"
 	"desmask/internal/jobstore"
 	"desmask/internal/leakstat"
+	"desmask/internal/sim"
+	"desmask/internal/trace"
 )
 
 // TestAdmitFastPathAndQueueAccounting: a request that finds a free execution
@@ -246,11 +249,23 @@ func TestProgressSnapshotWithoutSubscribers(t *testing.T) {
 		acc.Random.AddTrace([]float64{base + 6, 2.5, 0})
 		return acc
 	}
-	watched, late := newJobProgress(3, 2), newJobProgress(3, 2)
+	progress := func() *jobProgress {
+		fold, err := leakstat.NewFold(leakstat.Config{NumTraces: 8, Shards: 2, Window: trace.Window{End: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newJobProgress(fold)
+	}
+	watched, late := progress(), progress()
 	ch := watched.subscribe()
 	for s, base := range []float64{1, 1.5} {
-		watched.deliver(shard(s, base))
-		late.deliver(shard(s, base))
+		for _, p := range []*jobProgress{watched, late} {
+			acc := shard(s, base)
+			if err := p.fold.Add(acc); err != nil {
+				t.Fatal(err)
+			}
+			p.deliver(acc)
+		}
 	}
 	var last progressEvent
 	for i := 0; i < 3; i++ { // the snapshot, then one frame per shard
@@ -261,6 +276,101 @@ func TestProgressSnapshotWithoutSubscribers(t *testing.T) {
 	}
 	if got := <-late.subscribe(); got != last {
 		t.Fatalf("late snapshot %+v, want %+v", got, last)
+	}
+}
+
+// TestStreamPrefixMatchesVerdict: an SSE client attached before a job's
+// first trace runs reads the snapshot plus one frame per shard, each with a
+// finite (JSON-encodable) prefix t-statistic, and the final frame's prefix
+// covers every shard and carries the verdict's max_abs_t bit for bit, at
+// order 1 (whose early prefixes are deterministic ±Inf leaks) and order 2.
+func TestStreamPrefixMatchesVerdict(t *testing.T) {
+	for _, order := range []int{1, 2} {
+		t.Run(fmt.Sprintf("order%d", order), func(t *testing.T) {
+			st, err := jobstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{Store: st})
+			req := smallDES(32)
+			req.Shards = 8
+			req.Attack = &cliconf.Attack{Stat: "tvla", Order: order}
+			resolved, err := s.resolve(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := s.persistJob(&req, resolved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := s.workload(context.Background(), &req, resolved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No trace runs until the stream client is attached.
+			gated, gate := *wl, make(chan struct{})
+			gated.Source.Job = func(i int, fixed bool) (sim.Job, error) {
+				<-gate
+				return wl.Source.Job(i, fixed)
+			}
+			type outcome struct {
+				rep *leakstat.Report
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				rep, err := s.assessSharded(context.Background(), rec.ID, &req, &gated)
+				done <- outcome{rep, err}
+			}()
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				s.progressM.Lock()
+				prog := s.progress[rec.ID]
+				s.progressM.Unlock()
+				if prog != nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					close(gate)
+					t.Fatal("job progress never registered")
+				}
+			}
+			// The response headers arrive with the snapshot frame, after
+			// the handler subscribed.
+			sresp, err := http.Get(ts.URL + "/v1/jobs/" + rec.ID + "/stream")
+			close(gate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sresp.Body.Close()
+			var frames []progressEvent
+			sc := bufio.NewScanner(sresp.Body)
+			for sc.Scan() {
+				if line, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+					var ev progressEvent
+					if err := json.Unmarshal([]byte(line), &ev); err != nil {
+						t.Fatalf("bad frame %q: %v", line, err)
+					}
+					frames = append(frames, ev)
+				}
+			}
+			out := <-done
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			if len(frames) != 1+8 {
+				t.Fatalf("got %d frames, want the snapshot plus one per shard: %+v", len(frames), frames)
+			}
+			for i, ev := range frames {
+				if ev.Done != i || math.IsInf(ev.PrefixMaxAbsT, 0) || math.IsNaN(ev.PrefixMaxAbsT) {
+					t.Fatalf("frame %d: %+v", i, ev)
+				}
+			}
+			last := frames[len(frames)-1]
+			if !last.Final || last.PrefixShards != last.Total ||
+				math.Float64bits(last.PrefixMaxAbsT) != math.Float64bits(out.rep.MaxAbsT) {
+				t.Fatalf("final frame %+v, verdict max_abs_t %v", last, out.rep.MaxAbsT)
+			}
+		})
 	}
 }
 

@@ -10,8 +10,9 @@
 //   - Admission control: a semaphore bounds concurrently executing
 //     assessments and a bounded wait queue sheds load with 429 once full.
 //   - Cancellation: every request runs under a context with a per-request
-//     deadline; leakstat.AssessContext stops launching traces once the
-//     context dies and the request returns 504 with its workers freed.
+//     deadline; the shard driver (leakstat.Fold.Run) stops launching
+//     traces once the context dies and the request returns 504 with its
+//     workers freed.
 //   - Observability: /metrics (Prometheus text format), /healthz, and
 //     /debug/pprof.
 //
@@ -336,9 +337,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AssessRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.metrics.jobDone("rejected")
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -389,13 +388,29 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.running.Add(-1)
 
 	resp, err := s.execute(ctx, &req, resolved, jobID)
-	if err != nil {
-		s.finishJobError(w, jobID, err)
-		return
+	s.finishJob(jobID, resp, err)
+	var le *harness.LengthError
+	switch {
+	case err == nil:
+		s.writeJSON(w, http.StatusOK, resp)
+	case ctxErr(err):
+		s.writeError(w, http.StatusGatewayTimeout, "assessment cancelled: %v", err)
+	case errors.As(err, &le):
+		// An input that overruns its global is the request's fault: 400
+		// naming the field.
+		s.writeError(w, http.StatusBadRequest, "%v", &cliconf.FieldError{Field: le.Field, Value: fmt.Sprintf("%d words", le.Len),
+			Reason: fmt.Sprintf("global %q holds %d", le.Global, le.Words)})
+	default:
+		s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	}
-	s.completeJob(jobID, resp)
-	s.metrics.jobDone("completed")
-	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeBody decodes a JSON request body of at most 1 MiB into v, rejecting
+// unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // execute runs the build + sweep of one admitted assessment. jobID, when
@@ -418,12 +433,7 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 	}
 
 	assessStart := time.Now()
-	var rep *leakstat.Report
-	if jobID != "" || len(s.cfg.ShardWorkers) > 0 {
-		rep, err = s.assessSharded(ctx, jobID, req, wl)
-	} else {
-		rep, err = leakstat.AssessContext(ctx, wl.Source, wl.Config)
-	}
+	rep, err := s.assessSharded(ctx, jobID, req, wl)
 	if err != nil {
 		if ctxErr(err) {
 			return nil, err
@@ -460,33 +470,33 @@ func (s *Server) execute(ctx context.Context, req *AssessRequest, resolved *clic
 	return resp, nil
 }
 
-// finishJobError maps an execute error onto the HTTP surface and the job
-// store: context expiry leaves a durable job pending (a restart resumes its
-// remaining shards) and returns 504; anything else fails the job: 400 naming
-// the field for an input that overruns its global, otherwise 422.
-func (s *Server) finishJobError(w http.ResponseWriter, jobID string, err error) {
-	if ctxErr(err) {
+// finishJob records the outcome of an executed job, synchronous or async,
+// in the job store and the metrics: a verdict completes it; context expiry
+// leaves it pending, so a restart resumes its remaining shards; anything
+// else fails it, counted as rejected when an input overran its global.
+func (s *Server) finishJob(jobID string, resp *AssessResponse, err error) {
+	outcome := "completed"
+	var le *harness.LengthError
+	switch {
+	case err == nil:
+		s.completeJob(jobID, resp)
+	case ctxErr(err):
+		outcome = "timeout"
 		if jobID != "" {
 			if rerr := s.cfg.Store.Requeue(jobID); rerr != nil {
 				s.log.Printf("leakd: requeueing job %s: %v", jobID, rerr)
 			}
 		}
-		s.metrics.jobDone("timeout")
-		s.writeError(w, http.StatusGatewayTimeout, "assessment cancelled: %v", err)
-		return
-	}
-	if jobID != "" {
-		if ferr := s.cfg.Store.Fail(jobID, err.Error()); ferr != nil {
-			s.log.Printf("leakd: failing job %s: %v", jobID, ferr)
+	default:
+		outcome = "failed"
+		if errors.As(err, &le) {
+			outcome = "rejected"
+		}
+		if jobID != "" {
+			if ferr := s.cfg.Store.Fail(jobID, err.Error()); ferr != nil {
+				s.log.Printf("leakd: failing job %s: %v", jobID, ferr)
+			}
 		}
 	}
-	status, outcome := http.StatusUnprocessableEntity, "failed"
-	var le *harness.LengthError
-	if errors.As(err, &le) {
-		status, outcome = http.StatusBadRequest, "rejected"
-		err = &cliconf.FieldError{Field: le.Field, Value: fmt.Sprintf("%d words", le.Len),
-			Reason: fmt.Sprintf("global %q holds %d", le.Global, le.Words)}
-	}
 	s.metrics.jobDone(outcome)
-	s.writeError(w, status, "%v", err)
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"desmask/internal/cliconf"
 	"desmask/internal/gang"
+	"desmask/internal/jobstore"
 	"desmask/internal/leakstat"
 	"desmask/internal/verdict"
 )
@@ -80,7 +84,9 @@ func TestAssessEndToEnd(t *testing.T) {
 }
 
 // TestAssessDeterministicAcrossRequests: the HTTP layer must not disturb the
-// engine's determinism — identical submissions produce identical verdicts.
+// engine's determinism — identical submissions produce identical verdicts,
+// and a server without a store, a store-backed one and leakstat.AssessContext
+// called directly return the same verdict bit for bit.
 func TestAssessDeterministicAcrossRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, first, _ := postAssess(t, ts.URL, smallDES(64))
@@ -88,6 +94,45 @@ func TestAssessDeterministicAcrossRequests(t *testing.T) {
 	if first.MaxAbsT != second.MaxAbsT || first.MaxTCycle != second.MaxTCycle ||
 		first.CyclesSimulated != second.CyclesSimulated {
 		t.Fatalf("verdicts diverged: %+v vs %+v", first.Report, second.Report)
+	}
+
+	st, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable, dts := newTestServer(t, Config{Store: st})
+	for _, tc := range []struct {
+		policy string
+		order  int
+	}{{"none", 1}, {"boolean-mask", 2}} {
+		for _, workers := range []int{1, 4} {
+			req := smallDES(64)
+			req.Policy, req.Workers = tc.policy, workers
+			req.Attack = &cliconf.Attack{Stat: "tvla", Order: tc.order}
+			resolved, err := durable.resolve(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := durable.workload(context.Background(), &req, resolved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := leakstat.AssessContext(context.Background(), wl.Source, wl.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, url := range []string{ts.URL, dts.URL} {
+				code, rep, body := postAssess(t, url, req)
+				if code != http.StatusOK {
+					t.Fatalf("%s order %d workers %d: status %d: %s", tc.policy, tc.order, workers, code, body)
+				}
+				if math.Float64bits(rep.MaxAbsT) != math.Float64bits(ref.MaxAbsT) ||
+					rep.MaxTCycle != ref.MaxTCycle || rep.CyclesSimulated != ref.CyclesSimulated {
+					t.Fatalf("%s order %d workers %d: served verdict %+v, AssessContext %+v",
+						tc.policy, tc.order, workers, rep.Report, ref)
+				}
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/cpu"
 	"desmask/internal/desprog"
+	"desmask/internal/energy"
 	"desmask/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 	jobs := make([]sim.Job, n)
 	for i := range jobs {
 		jobs[i] = testJob(syms, i, false)
-		jobs[i].Probe = sim.PerRunProbes(func() []cpu.Probe {
+		jobs[i].Probe = sim.PerRunMeterProbes(func(*energy.Probe) []cpu.Probe {
 			// Cancel once a handful of jobs have started; later jobs must
 			// then be skipped.
 			if ran.Add(1) == 8 {

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"desmask/internal/gang"
-)
+import "desmask/internal/gang"
 
 // Gang-mode session layer: Options.GangWidth > 1 opts a batch into
 // gang-scheduled lockstep execution (internal/gang) for jobs that attach no
@@ -53,20 +47,14 @@ func (r *Runner) RunGangSampled(jobs []Job, start, end uint64, bufs [][]float64)
 		return results
 	}
 	defer r.pool.Put(w)
-	r.runGangSampledOn(w, jobs, start, end, bufs, results, nil)
+	r.runGangSampledOn(w, jobs, start, end, bufs, results)
 	return results
 }
 
 // runGangSampledOn is RunGangSampled on a caller-held worker, writing into
-// results (indexed by idxs when non-nil, else by position).
-func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs [][]float64, results []Result, idxs []int) {
+// results.
+func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs [][]float64, results []Result) {
 	n := len(jobs)
-	resAt := func(i int) *Result {
-		if idxs != nil {
-			return &results[idxs[i]]
-		}
-		return &results[i]
-	}
 	bufAt := func(i int) []float64 {
 		if bufs == nil {
 			return nil
@@ -79,11 +67,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 		if bufs != nil {
 			b = bufs[i : i+1]
 		}
-		if idxs != nil {
-			r.runGangSampledOn(w, jobs[i:i+1], start, end, b, results, idxs[i:i+1])
-		} else {
-			r.runGangSampledOn(w, jobs[i:i+1], start, end, b, results[i:i+1], nil)
-		}
+		r.runGangSampledOn(w, jobs[i:i+1], start, end, b, results[i:i+1])
 	}
 
 	budget := r.budget(jobs[0])
@@ -130,7 +114,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 		e, err := gang.New(r.prog, uops, r.cfg, len(reps))
 		if err != nil {
 			for i := range jobs {
-				*resAt(i) = Result{Err: err}
+				results[i] = Result{Err: err}
 			}
 			return
 		}
@@ -139,7 +123,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	e := w.e
 	if err := e.Reset(len(reps)); err != nil {
 		for i := range jobs {
-			*resAt(i) = Result{Err: err}
+			results[i] = Result{Err: err}
 		}
 		return
 	}
@@ -159,7 +143,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 					if len(reps) > 1 {
 						replay(i)
 					} else {
-						*resAt(i) = Result{Err: err}
+						results[i] = Result{Err: err}
 					}
 				}
 				return
@@ -182,7 +166,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 		if n > 1 && e.LaneErr(l) == nil {
 			r.GangCounts.runs.Add(1)
 		}
-		*resAt(i) = r.finish(&jobs[i], e, l, runErr)
+		results[i] = r.finish(&jobs[i], e, l, runErr)
 		if i != reps[l] && !traced && end > start {
 			// A mirror reproduces its representative's windowed samples.
 			copy(bufAt(i), bufAt(reps[l]))
@@ -207,93 +191,36 @@ func writesEqual(a, b []Write) bool {
 	return true
 }
 
-// gangUnits groups the batch's parallel jobs into execution units before any
-// worker starts: runs of consecutive gang-eligible jobs with identical shape
-// (budget, trace flag) become gangs of up to width lanes; everything else is
-// a singleton scalar unit. Precomputing the grouping from the job list alone
-// keeps results bit-identical for any worker count.
-func (r *Runner) gangUnits(jobs []Job, par []int, width int) [][]int {
-	units := make([][]int, 0, (len(par)+width-1)/width)
-	var cur []int
-	var curBudget uint64
-	var curTrace bool
-	flush := func() {
-		if len(cur) > 0 {
-			units = append(units, cur)
-			cur = nil
+// gangUnits cuts the batch into execution units before any worker starts:
+// runs of consecutive gang-eligible jobs with identical shape (budget, trace
+// flag) become gangs of up to width lanes; every other job, and every job
+// when width <= 1, is a unit of its own. Unit k is jobs[cuts[k]:cuts[k+1]].
+// The cuts depend on the job list alone, so results are bit-identical for
+// any worker count.
+func (r *Runner) gangUnits(jobs []Job, width int) (cuts []int) {
+	cuts = append(make([]int, 0, len(jobs)/max(width, 1)+2), 0)
+	lo := 0
+	for i := 1; i < len(jobs); i++ {
+		a, b := &jobs[lo], &jobs[i]
+		joins := width > 1 && i-lo < width && r.gangEligible(a) && r.gangEligible(b) &&
+			r.budget(*a) == r.budget(*b) && a.Trace == b.Trace
+		if !joins {
+			cuts = append(cuts, i)
+			lo = i
 		}
 	}
-	for _, i := range par {
-		j := &jobs[i]
-		if !r.gangEligible(j) {
-			flush()
-			units = append(units, []int{i})
-			continue
-		}
-		b, tr := r.budget(*j), j.Trace
-		if len(cur) > 0 && (b != curBudget || tr != curTrace) {
-			flush()
-		}
-		curBudget, curTrace = b, tr
-		cur = append(cur, i)
-		if len(cur) == width {
-			flush()
-		}
-	}
-	flush()
-	return units
+	return append(cuts, len(jobs))
 }
 
-// runUnit executes one scheduling unit on a worker: an ineligible singleton
-// runs exactly as a gang-free batch would run it; a group — or a leftover
-// eligible singleton, which keeps the gang result shape (no Energy/PeakPJ
-// accumulation) — runs as a lockstep gang with per-lane deopt replay.
-func (r *Runner) runUnit(w *worker, jobs []Job, unit []int, results []Result) {
-	if len(unit) == 1 && !r.gangEligible(&jobs[unit[0]]) {
-		results[unit[0]] = r.runOn(w, jobs[unit[0]])
+// runUnit executes one unit on a worker: a lone job of a gang-free batch, or
+// a lone probe-carrying job, runs as a metered one-lane run; a group — or a
+// leftover eligible job of a gang batch, which keeps the gang result shape
+// (no Energy/PeakPJ accumulation) — runs as a lockstep gang with per-lane
+// deopt replay.
+func (r *Runner) runUnit(w *worker, jobs []Job, results []Result, width int) {
+	if len(jobs) == 1 && (width <= 1 || !r.gangEligible(&jobs[0])) {
+		results[0] = r.runOn(w, jobs[0])
 		return
 	}
-	unitJobs := make([]Job, len(unit))
-	for k, i := range unit {
-		unitJobs[k] = jobs[i]
-	}
-	r.runGangSampledOn(w, unitJobs, 0, 0, nil, results, unit)
-}
-
-// runParGang fans the batch's parallel jobs across the pool in gang units.
-// It mirrors the scalar fan-out loop of RunBatchContext, pulling whole units
-// so a gang always lands on one worker.
-func (r *Runner) runParGang(ctx context.Context, jobs []Job, par []int, results []Result, opts Options, wg *sync.WaitGroup) {
-	units := r.gangUnits(jobs, par, opts.GangWidth)
-	workers := opts.resolve(len(units))
-	var next atomic.Int64
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, werr := r.getWorker()
-			if werr == nil {
-				defer r.pool.Put(w)
-			}
-			for {
-				n := int(next.Add(1) - 1)
-				if n >= len(units) {
-					return
-				}
-				unit := units[n]
-				switch {
-				case werr != nil:
-					for _, i := range unit {
-						results[i] = Result{Err: werr}
-					}
-				case ctx.Err() != nil:
-					for _, i := range unit {
-						results[i] = Result{Err: ctx.Err()}
-					}
-				default:
-					r.runUnit(w, jobs, unit, results)
-				}
-			}
-		}()
-	}
+	r.runGangSampledOn(w, jobs, 0, 0, nil, results)
 }

@@ -80,72 +80,31 @@ func (s Stats) AvgPJPerCycle() float64 {
 }
 
 // ProbeSpec declares the extra observation probes of a job. The zero value
-// attaches nothing. A spec is built by exactly one of the constructors:
-//
-//   - SharedProbes: fixed probe instances, attached as-is to every run the
-//     spec is used for. The instances accumulate across runs, so the jobs
-//     that carry a shared spec are executed sequentially in index order —
-//     Run does this trivially, and RunBatch schedules them on a single
-//     worker so the instances observe one deterministic stream.
-//   - PerRunProbes: a factory invoked once per execution; every run gets
-//     fresh instances, so these jobs fan out freely across batch workers.
-//   - PerRunMeterProbes: like PerRunProbes, but the factory receives the
-//     run's energy meter, which commits each cycle before any probe runs,
-//     so the returned probes can read each committed cycle's energy via
-//     meter.LastPJ()/Last() — in-flight trace reduction without
-//     materializing the trace.
-//
-// Collapsing the former Probes/NewProbes/MeterProbes fields into this one
-// type removes the old batch-time "shared probe instances" runtime error:
-// sharing is now part of the spec, and the scheduler serializes exactly the
-// jobs that need it.
+// attaches nothing; PerRunMeterProbes builds the only other kind.
 type ProbeSpec struct {
-	shared   []cpu.Probe
-	perRun   func() []cpu.Probe
 	perMeter func(meter *energy.Probe) []cpu.Probe
 }
 
-// SharedProbes builds a spec that attaches the given probe instances to
-// every run. Jobs carrying the spec are serialized (in index order within a
-// batch), so the instances never observe two simulations at once.
-func SharedProbes(probes ...cpu.Probe) ProbeSpec {
-	return ProbeSpec{shared: probes}
-}
-
-// PerRunProbes builds a spec whose factory is called once per execution;
-// each run attaches the fresh instances the factory returns.
-func PerRunProbes(fn func() []cpu.Probe) ProbeSpec {
-	return ProbeSpec{perRun: fn}
-}
-
 // PerRunMeterProbes builds a spec whose factory is called once per
-// execution with the run's energy meter, so the returned probes read
-// committed per-cycle energy.
+// execution with the run's energy meter, which commits each cycle before
+// any probe runs, so the returned probes can read each committed cycle's
+// energy via meter.LastPJ()/Last() — in-flight trace reduction without
+// materializing the trace. Every run gets fresh instances, so jobs that
+// carry the spec fan out freely across batch workers.
 func PerRunMeterProbes(fn func(meter *energy.Probe) []cpu.Probe) ProbeSpec {
 	return ProbeSpec{perMeter: fn}
 }
 
-// IsShared reports whether the spec carries fixed probe instances and so
-// forces sequential execution of the jobs that use it.
-func (s ProbeSpec) IsShared() bool { return len(s.shared) > 0 }
-
 // isZero reports whether the spec attaches nothing — the condition under
 // which a job needs no per-cycle observation and is eligible for a gang.
-func (s ProbeSpec) isZero() bool {
-	return len(s.shared) == 0 && s.perRun == nil && s.perMeter == nil
-}
+func (s ProbeSpec) isZero() bool { return s.perMeter == nil }
 
 // instantiate returns the probes to attach for one run.
 func (s ProbeSpec) instantiate(meter *energy.Probe) []cpu.Probe {
-	switch {
-	case len(s.shared) > 0:
-		return s.shared
-	case s.perRun != nil:
-		return s.perRun()
-	case s.perMeter != nil:
-		return s.perMeter(meter)
+	if s.perMeter == nil {
+		return nil
 	}
-	return nil
+	return s.perMeter(meter)
 }
 
 // Job is one independent simulation: input pokes, a cycle budget, and what
@@ -173,12 +132,6 @@ type Job struct {
 	// Probe declares the job's extra probes; see ProbeSpec. Probes run after
 	// the pipeline has metered and recorded each cycle.
 	Probe ProbeSpec
-}
-
-// sharedProbes reports whether the job carries fixed probe instances, which
-// the batch scheduler must serialize.
-func (j *Job) sharedProbes() bool {
-	return j.Probe.IsShared()
 }
 
 // Result is the outcome of one job.
@@ -498,9 +451,9 @@ func (r *Runner) RunBatch(jobs []Job, opts Options) ([]Result, error) {
 }
 
 // RunBatchContext executes every job across the worker pool and returns
-// results in job order. Jobs whose ProbeSpec carries shared probe instances
-// are executed sequentially in index order on a single worker (so the
-// instances observe one deterministic stream); all other jobs fan out.
+// results in job order. Workers pull whole execution units (gangUnits): one
+// job each, or with Options.GangWidth > 1 one lockstep gang of consecutive
+// same-shaped jobs, so a gang always lands on one worker.
 //
 // Workers check the context between executions: an in-flight simulation
 // runs to completion, but once ctx is done no further job starts and every
@@ -513,49 +466,11 @@ func (r *Runner) RunBatchContext(ctx context.Context, jobs []Job, opts Options) 
 	if len(jobs) == 0 {
 		return results, ctx.Err()
 	}
-	// Partition the batch: shared-probe jobs are serialized in index order,
-	// the rest fan out across the pool.
-	var par, seq []int
-	for i := range jobs {
-		if jobs[i].sharedProbes() {
-			seq = append(seq, i)
-		} else {
-			par = append(par, i)
-		}
-	}
+	cuts := r.gangUnits(jobs, opts.GangWidth)
+	units := len(cuts) - 1
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	if len(par) > 0 && opts.GangWidth > 1 {
-		r.runParGang(ctx, jobs, par, results, opts, &wg)
-	} else if len(par) > 0 {
-		workers := opts.resolve(len(par))
-		var next atomic.Int64
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w, werr := r.getWorker()
-				if werr == nil {
-					defer r.pool.Put(w)
-				}
-				for {
-					n := int(next.Add(1) - 1)
-					if n >= len(par) {
-						return
-					}
-					i := par[n]
-					switch {
-					case werr != nil:
-						results[i] = Result{Err: werr}
-					case ctx.Err() != nil:
-						results[i] = Result{Err: ctx.Err()}
-					default:
-						results[i] = r.runOn(w, jobs[i])
-					}
-				}
-			}()
-		}
-	}
-	if len(seq) > 0 {
+	for k := opts.resolve(units); k > 0; k-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -563,14 +478,22 @@ func (r *Runner) RunBatchContext(ctx context.Context, jobs []Job, opts Options) 
 			if werr == nil {
 				defer r.pool.Put(w)
 			}
-			for _, i := range seq {
-				switch {
-				case werr != nil:
-					results[i] = Result{Err: werr}
-				case ctx.Err() != nil:
-					results[i] = Result{Err: ctx.Err()}
-				default:
-					results[i] = r.runOn(w, jobs[i])
+			for {
+				u := int(next.Add(1) - 1)
+				if u >= units {
+					return
+				}
+				lo, hi := cuts[u], cuts[u+1]
+				err := werr
+				if err == nil {
+					err = ctx.Err()
+				}
+				if err == nil {
+					r.runUnit(w, jobs[lo:hi], results[lo:hi], opts.GangWidth)
+					continue
+				}
+				for i := lo; i < hi; i++ {
+					results[i] = Result{Err: err}
 				}
 			}
 		}()

@@ -202,42 +202,6 @@ func TestRunBudgetExpiry(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharedProbesSerialized pins the redesigned shared-probe
-// semantics: a batch job carrying SharedProbes is legal (the old runtime
-// rejection is gone) because the scheduler serializes those jobs in index
-// order on one worker. The shared instance therefore observes every
-// carrying job exactly once, with no data race, while the per-job results
-// stay bit-identical to an all-parallel batch.
-func TestRunBatchSharedProbesSerialized(t *testing.T) {
-	r, syms := newTestRunner(t)
-	const n = 8
-	var sharedCycles uint64
-	shared := sim.SharedProbes(cpu.ProbeFunc(func(cpu.CycleInfo) { sharedCycles++ }))
-	jobs := make([]sim.Job, n)
-	for i := range jobs {
-		jobs[i] = testJob(syms, i, false)
-		if i%2 == 0 {
-			jobs[i].Probe = shared
-		}
-	}
-	results, err := r.RunBatch(jobs, sim.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want uint64
-	for i, res := range results {
-		if out := wantOut(syms, i); !reflect.DeepEqual(res.Mem[0], out) {
-			t.Fatalf("job %d: out=%v want %v", i, res.Mem[0], out)
-		}
-		if i%2 == 0 {
-			want += res.Stats.Cycles
-		}
-	}
-	if sharedCycles != want {
-		t.Fatalf("shared probe saw %d cycles across its jobs, want %d", sharedCycles, want)
-	}
-}
-
 // TestRunBatchPerRunProbes verifies the batch-safe probe path: every job
 // gets a fresh probe instance from its factory, and each sees exactly its
 // own run.
@@ -249,7 +213,7 @@ func TestRunBatchPerRunProbes(t *testing.T) {
 	for i := range jobs {
 		i := i
 		jobs[i] = testJob(syms, i, false)
-		jobs[i].Probe = sim.PerRunProbes(func() []cpu.Probe {
+		jobs[i].Probe = sim.PerRunMeterProbes(func(*energy.Probe) []cpu.Probe {
 			return []cpu.Probe{cpu.ProbeFunc(func(cpu.CycleInfo) { counts[i]++ })}
 		})
 	}
