@@ -12,28 +12,32 @@ import (
 	"desmask/internal/sim"
 )
 
-// jobDigest hashes the memory setup of a job: every (Addr, Val) write in
-// order, then every (Addr, Words) read.
-func jobDigest(h []byte, job sim.Job) []byte {
+// jobDigest hashes the memory setup of a job: every (Addr, Val) word it
+// pokes, in application order (sim.Job.Pokes), then every (Addr, Words)
+// read. It returns the digest and the number of pokes.
+func jobDigest(h []byte, job sim.Job) ([]byte, int) {
 	d := sha256.New()
 	d.Write(h)
 	var b [8]byte
-	for _, w := range job.Writes {
+	n := 0
+	job.Pokes(func(w sim.Write) bool {
 		binary.LittleEndian.PutUint32(b[:4], w.Addr)
 		binary.LittleEndian.PutUint32(b[4:], w.Val)
 		d.Write(b[:])
-	}
+		n++
+		return true
+	})
 	d.Write([]byte("reads"))
 	for _, r := range job.Reads {
 		binary.LittleEndian.PutUint32(b[:4], r.Addr)
 		binary.LittleEndian.PutUint32(b[4:], uint32(r.Words))
 		d.Write(b[:])
 	}
-	return d.Sum(nil)
+	return d.Sum(nil), n
 }
 
 // TestMaskStreamFixture pins the per-execution memory setup of protected DES
-// jobs: one SHA-256 chained over the writes and reads of EncryptJobSeeded
+// jobs: one SHA-256 chained over the pokes and reads of EncryptJobSeeded
 // for several keys, plaintexts and mask seeds, per (target, protection).
 // The digests were recorded once and are never regenerated: a change means
 // the mask stream's draw order or the poke layout moved, which silently
@@ -82,10 +86,10 @@ func TestMaskStreamFixture(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(job.Writes) <= 128 {
-							t.Fatalf("%d writes: no runtime mask material poked", len(job.Writes))
+						var n int
+						if h, n = jobDigest(h, job); n <= 128 {
+							t.Fatalf("%d pokes: no runtime mask material poked", n)
 						}
-						h = jobDigest(h, job)
 					}
 				}
 				if got := hex.EncodeToString(h); got != want[name] {
@@ -100,8 +104,8 @@ func TestMaskStreamFixture(t *testing.T) {
 var jobSink sim.Job
 
 // BenchmarkEncryptJobSeeded prices the construction of one boolean-mask DES
-// job — key shares, scrub word and the 4,096-word mask pool — the per-trace
-// setup of every masked assessment.
+// job — key shares, scrub word and the mask run naming the 4,096-word pool —
+// the per-trace setup of every masked assessment.
 func BenchmarkEncryptJobSeeded(b *testing.B) {
 	m, err := New(compiler.PolicyBooleanMask)
 	if err != nil {

@@ -1,8 +1,10 @@
 // Package harness builds the simulator jobs of a compiled MiniC program.
 // Resolve looks up, once per program, every address a job touches; Job
 // then writes one execution's inputs and per-execution mask material
-// straight into a pre-sized sim.Job. desprog and kernels both build their
-// jobs here, so a mask seed names one memory setup everywhere.
+// straight into a pre-sized sim.Job, naming the fresh-mask pool by its
+// mask-stream state (sim.MaskRun) rather than carrying its 4,096 words.
+// desprog and kernels both build their jobs here, so a mask seed names one
+// memory setup everywhere.
 package harness
 
 import (
@@ -97,12 +99,14 @@ func Resolve(res *compiler.Result, inputs []Port, output Port, outWords int) (*L
 // a masked input's word v goes in as the share pair v^m (global) and m
 // (shadow), so the raw secret never sits in simulated memory. The stream
 // then fills the scrub word, the fresh-mask pool and the shuffle
-// permutation. Reads[0] is the output; a masked program also reads back
-// its final pool cursor as Reads[1], to assert the pool did not overflow.
+// permutation. The pool is the job's Pool run: its words are drawn when the
+// job is poked, in the same place of the poke order. Reads[0] is the
+// output; a masked program also reads back its final pool cursor as
+// Reads[1], to assert the pool did not overflow.
 func (l *Layout) Job(maskSeed int64, vals ...[]uint32) (sim.Job, error) {
 	n := l.shufN
 	if l.poolWords > 0 {
-		n += 1 + l.poolWords
+		n++
 	}
 	for i, in := range l.inputs {
 		if len(vals[i]) > in.words {
@@ -114,7 +118,7 @@ func (l *Layout) Job(maskSeed int64, vals ...[]uint32) (sim.Job, error) {
 		}
 	}
 	w := make([]sim.Write, 0, n)
-	rng := compiler.NewMaskStream(maskSeed)
+	rng := sim.NewMaskStream(maskSeed)
 	for i, in := range l.inputs {
 		for j, v := range vals[i] {
 			addr := in.addr + uint32(4*j)
@@ -126,11 +130,10 @@ func (l *Layout) Job(maskSeed int64, vals ...[]uint32) (sim.Job, error) {
 			w = append(w, sim.Write{Addr: addr, Val: v ^ m}, sim.Write{Addr: in.shadow + uint32(4*j), Val: m})
 		}
 	}
+	var pool sim.MaskRun
 	if l.poolWords > 0 {
 		w = append(w, sim.Write{Addr: l.scrub, Val: rng.Next32()})
-		for j := 0; j < l.poolWords; j++ {
-			w = append(w, sim.Write{Addr: l.pool + uint32(4*j), Val: rng.Next32()})
-		}
+		pool = rng.Run(l.pool, l.poolWords, len(w))
 	}
 	// Fisher–Yates over the identity, in place in the job's last writes.
 	perm := w[len(w):n]
@@ -141,5 +144,5 @@ func (l *Layout) Job(maskSeed int64, vals ...[]uint32) (sim.Job, error) {
 		k := int(rng.Next64() % uint64(j+1))
 		perm[j].Val, perm[k].Val = perm[k].Val, perm[j].Val
 	}
-	return sim.Job{Writes: w[:n], Reads: slices.Clone(l.reads)}, nil
+	return sim.Job{Writes: w[:n], Pool: pool, Reads: slices.Clone(l.reads)}, nil
 }

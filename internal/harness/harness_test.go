@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"desmask/internal/compiler"
+	"desmask/internal/sim"
 )
 
 const src = `
@@ -38,25 +39,41 @@ func layout(t *testing.T, opt compiler.Options) *Layout {
 	return l
 }
 
-// TestJobShape pins the write layout of one masked job: the secret as
+// TestJobShape pins the poke layout of one masked job: the secret as
 // interleaved (share, mask) pairs, the public words as-is, then the scrub
 // word and the whole pool, with the pool cursor read back after the output.
+// The pool is the job's mask run, not carried as writes.
 func TestJobShape(t *testing.T) {
 	l := layout(t, compiler.Options{Policy: compiler.PolicyBooleanMask})
 	job, err := l.Job(5, []uint32{7, 9}, []uint32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*2 + 3 + 1 + compiler.MaskPoolWords; len(job.Writes) != want || cap(job.Writes) != want {
+	if want := 2*2 + 3 + 1; len(job.Writes) != want || cap(job.Writes) != want {
 		t.Fatalf("%d writes (cap %d), want exactly %d", len(job.Writes), cap(job.Writes), want)
 	}
-	w := job.Writes
+	var w []sim.Write
+	job.Pokes(func(p sim.Write) bool {
+		w = append(w, p)
+		return true
+	})
+	if want := 2*2 + 3 + 1 + compiler.MaskPoolWords; len(w) != want {
+		t.Fatalf("%d pokes, want %d", len(w), want)
+	}
 	if w[0].Val^w[1].Val != 7 || w[2].Val^w[3].Val != 9 || w[1].Addr != w[3].Addr-4 {
 		t.Errorf("secret shares %+v do not recombine to 7, 9", w[:4])
 	}
 	for i, v := range []uint32{1, 2, 3} {
 		if w[4+i].Val != v {
 			t.Errorf("public word %d = %d, want %d", i, w[4+i].Val, v)
+		}
+	}
+	if w[7].Addr != l.scrub {
+		t.Errorf("poke 7 at %#x, want the scrub word at %#x", w[7].Addr, l.scrub)
+	}
+	for j, p := range w[8:] {
+		if p.Addr != l.pool+uint32(4*j) {
+			t.Fatalf("pool poke %d at %#x, want %#x", j, p.Addr, l.pool+uint32(4*j))
 		}
 	}
 	if len(job.Reads) != 2 || job.Reads[0].Words != 2 || job.Reads[1].Words != 1 {

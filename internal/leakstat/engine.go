@@ -200,7 +200,7 @@ func AssessShard(ctx context.Context, src Source, cfg Config, shard int) (*Shard
 	if err != nil {
 		return nil, err
 	}
-	return p.runShard(ctx, src, shard)
+	return p.runShard(ctx, src, shard, nil)
 }
 
 // FoldReport merges per-shard accumulators through a Fold — in shard-index
@@ -285,15 +285,22 @@ func newPlan(cfg Config) (*plan, error) {
 	}, nil
 }
 
-// runShard executes one shard's trace range into a fresh accumulator pair.
-func (p *plan) runShard(ctx context.Context, src Source, s int) (*ShardAccum, error) {
+// runShard executes one shard's trace range into acc, emptied, or into a
+// fresh accumulator pair when acc is nil. acc must be a pair of this plan.
+func (p *plan) runShard(ctx context.Context, src Source, s int, acc *ShardAccum) (*ShardAccum, error) {
 	if s < 0 || s >= p.shards {
 		return nil, fmt.Errorf("leakstat: shard %d out of range [0,%d)", s, p.shards)
 	}
 	if src.Runner == nil || src.Job == nil {
 		return nil, fmt.Errorf("leakstat: source needs a Runner and a Job constructor")
 	}
-	acc := &ShardAccum{Shard: s, Fixed: NewVecOrder(p.L, p.order), Random: NewVecOrder(p.L, p.order)}
+	if acc == nil {
+		acc = &ShardAccum{Fixed: NewVecOrder(p.L, p.order), Random: NewVecOrder(p.L, p.order)}
+	} else {
+		acc.Fixed.reset()
+		acc.Random.reset()
+	}
+	acc.Shard, acc.Cycles = s, 0
 	lo, hi := ShardRange(s, p.shards, p.cfg.NumTraces)
 	if err := p.runGangShard(ctx, src, acc, lo, hi); err != nil {
 		return nil, err

@@ -13,18 +13,21 @@ import (
 // soon as the contiguous prefix extends. Merging only ever appends to the
 // prefix, in the order a single-node sweep merges, so the prefix is at every
 // step the exact fold of its shards' trace range and the full fold is
-// bit-identical to AssessContext. A Fold is safe for concurrent use.
+// bit-identical to AssessContext. The fold reads an added accumulator only
+// until it merges it and never writes to it. A Fold is safe for concurrent
+// use.
 type Fold struct {
 	p *plan
 
-	mu     sync.Mutex
-	parts  []*ShardAccum // parts[s]: shard s, once added
-	held   int
-	prefix int
-	fixed  *Vec
-	random *Vec
-	state  int // accumulator bytes the assessment holds (Report.StateBytes)
-	cycles uint64
+	mu      sync.Mutex
+	added   []bool        // added[s]: shard s was added
+	pending []*ShardAccum // pending[s]: shard s, added but not merged yet
+	held    int
+	prefix  int
+	fixed   *Vec
+	random  *Vec
+	state   int // accumulator bytes the assessment holds (Report.StateBytes)
+	cycles  uint64
 }
 
 // NewFold returns an empty fold over cfg's shard partition.
@@ -34,10 +37,11 @@ func NewFold(cfg Config) (*Fold, error) {
 		return nil, err
 	}
 	f := &Fold{
-		p:      p,
-		parts:  make([]*ShardAccum, p.shards),
-		fixed:  NewVecOrder(p.L, p.order),
-		random: NewVecOrder(p.L, p.order),
+		p:       p,
+		added:   make([]bool, p.shards),
+		pending: make([]*ShardAccum, p.shards),
+		fixed:   NewVecOrder(p.L, p.order),
+		random:  NewVecOrder(p.L, p.order),
 	}
 	f.state = f.fixed.StateBytes() + f.random.StateBytes()
 	return f, nil
@@ -57,24 +61,32 @@ func (f *Fold) Add(acc *ShardAccum) error {
 	switch {
 	case s < 0 || s >= f.p.shards:
 		return fmt.Errorf("leakstat: shard %d out of range [0,%d)", s, f.p.shards)
-	case f.parts[s] != nil:
+	case f.added[s]:
 		return fmt.Errorf("leakstat: shard %d added twice", s)
 	case acc.Fixed.Len() != f.p.L || acc.Random.Len() != f.p.L:
 		return fmt.Errorf("leakstat: shard %d has %d/%d samples, want %d", s, acc.Fixed.Len(), acc.Random.Len(), f.p.L)
 	case acc.Fixed.Order() != f.p.order || acc.Random.Order() != f.p.order:
 		return fmt.Errorf("leakstat: shard %d is order %d/%d, want %d", s, acc.Fixed.Order(), acc.Random.Order(), f.p.order)
 	}
-	f.parts[s] = acc
+	f.added[s], f.pending[s] = true, acc
 	f.held++
 	f.state += acc.Fixed.StateBytes() + acc.Random.StateBytes()
 	f.cycles += acc.Cycles
-	for ; f.prefix < f.p.shards && f.parts[f.prefix] != nil; f.prefix++ {
-		next := f.parts[f.prefix]
+	for ; f.prefix < f.p.shards && f.pending[f.prefix] != nil; f.prefix++ {
+		next := f.pending[f.prefix]
 		// Length and order were checked above, so neither merge can fail.
 		_ = f.fixed.Merge(next.Fixed)
 		_ = f.random.Merge(next.Random)
+		f.pending[f.prefix] = nil
 	}
 	return nil
+}
+
+// merged returns the length of the merged prefix.
+func (f *Fold) merged() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.prefix
 }
 
 // FoldProgress is a consistent view of a fold part way through.
@@ -151,24 +163,40 @@ func (f *Fold) Report() (*Report, error) {
 // through it). done, when non-nil, is called with each computed shard after
 // the fold took it; calls to done come one at a time, from Run's goroutine,
 // and the fold takes no other shard while one runs, so done sees the fold
-// exactly as its shard left it.
+// exactly as its shard left it. done must not keep the accumulator after it
+// returns: the in-process executor reuses an accumulator pair for a later
+// shard once the fold has merged it and done has returned, so a verdict
+// allocates about one pair per worker rather than one per shard.
 //
 // A failed run returns the lowest-index failing shard's error. Workers
 // check the context between traces; a cancelled run returns only the
 // context's error, never a verdict over the shards it did compute.
 func (f *Fold) Run(ctx context.Context, src Source, exec func(ctx context.Context, shard int) (*ShardAccum, error), done func(*ShardAccum)) (*Report, error) {
-	if exec == nil {
-		exec = func(ctx context.Context, s int) (*ShardAccum, error) { return f.p.runShard(ctx, src, s) }
-	}
 	f.mu.Lock()
 	var missing []int
-	for s, acc := range f.parts {
-		if acc == nil {
+	for s, added := range f.added {
+		if !added {
 			missing = append(missing, s)
 		}
 	}
 	f.mu.Unlock()
 
+	// own[s] is the in-process executor's accumulator of shard s until the
+	// fold has merged it; it then goes to free for another shard.
+	var own []*ShardAccum
+	var free chan *ShardAccum
+	if exec == nil {
+		own = make([]*ShardAccum, f.p.shards)
+		free = make(chan *ShardAccum, len(missing))
+		exec = func(ctx context.Context, s int) (*ShardAccum, error) {
+			var acc *ShardAccum
+			select {
+			case acc = <-free:
+			default:
+			}
+			return f.p.runShard(ctx, src, s, acc)
+		}
+	}
 	landed := make(chan *ShardAccum)
 	runErr := make(chan error, 1)
 	go func() {
@@ -183,6 +211,7 @@ func (f *Fold) Run(ctx context.Context, src Source, exec func(ctx context.Contex
 		close(landed)
 	}()
 	var addErr error
+	reclaimed := 0 // own[:reclaimed] went to free
 	for acc := range landed {
 		if err := f.Add(acc); err != nil {
 			if addErr == nil {
@@ -192,6 +221,16 @@ func (f *Fold) Run(ctx context.Context, src Source, exec func(ctx context.Contex
 		}
 		if done != nil {
 			done(acc)
+		}
+		if own == nil {
+			continue
+		}
+		own[acc.Shard] = acc
+		for n := f.merged(); reclaimed < n; reclaimed++ {
+			if a := own[reclaimed]; a != nil {
+				free <- a
+				own[reclaimed] = nil
+			}
 		}
 	}
 	if err := <-runErr; err != nil {

@@ -69,6 +69,75 @@ func TestAssessShardFoldBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunReusesOnlyItsOwnAccumulators: the driver reuses the accumulator
+// pairs its in-process executor allocated and no others. Shards added
+// before Run and shards a custom executor returns keep their bytes, and a
+// verdict over reused pairs is the from-scratch verdict bit for bit.
+func TestRunReusesOnlyItsOwnAccumulators(t *testing.T) {
+	src, cfg := shardTestSource(t)
+	cfg.Workers = 1
+	ref, err := Assess(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(acc *ShardAccum) string {
+		b, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var kept []*ShardAccum
+	var want []string
+	keep := func(acc *ShardAccum) {
+		kept, want = append(kept, acc), append(want, encode(acc))
+	}
+
+	f, err := NewFold(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{0, 3} {
+		acc, err := AssessShard(context.Background(), src, cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(acc)
+		if err := f.Add(acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := f.Run(context.Background(), src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameT(t, "driver over two held shards", got, ref)
+
+	f, err = NewFold(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = f.Run(context.Background(), src, func(ctx context.Context, s int) (*ShardAccum, error) {
+		acc, err := AssessShard(ctx, src, cfg, s)
+		if err == nil {
+			keep(acc)
+		}
+		return acc, err
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameT(t, "driver over a custom executor", got, ref)
+	if got.StateBytes != ref.StateBytes {
+		t.Errorf("state %d bytes, want %d", got.StateBytes, ref.StateBytes)
+	}
+	for i, acc := range kept {
+		if encode(acc) != want[i] {
+			t.Errorf("caller-owned accumulator of shard %d changed", acc.Shard)
+		}
+	}
+}
+
 // TestFoldResumeAndRejects: a fold rejects a repeated shard, one outside
 // the partition, and accumulators of another window length or order,
 // leaving itself unchanged. The driver over a fold that already holds a

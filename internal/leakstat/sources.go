@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"desmask/internal/desprog"
 	"desmask/internal/kernels"
@@ -23,6 +24,18 @@ func MaskSeed(seed int64, i int) int64 {
 	return sim.DeriveSeed(seed^maskSeedBase, i)
 }
 
+// rngs recycles the random populations' generators across traces.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns a pooled generator reseeded with seed: it makes the draws
+// of rand.New(rand.NewSource(seed)) without allocating a 4.9 KB source per
+// trace. Return it to rngs when done.
+func seeded(seed int64) *rand.Rand {
+	r := rngs.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
 // DESKeySource builds the canonical DES fixed-vs-random-KEY population:
 // fixed traces encrypt plaintext under fixedKey, random traces under a key
 // derived from sim.DeriveSeed(seed, i). Varying the key (not the plaintext)
@@ -38,7 +51,9 @@ func DESKeySource(m *desprog.Machine, fixedKey, plaintext uint64, seed int64, ma
 		Job: func(i int, fixed bool) (sim.Job, error) {
 			key := fixedKey
 			if !fixed {
-				key = rand.New(rand.NewSource(sim.DeriveSeed(seed, i))).Uint64()
+				rng := seeded(sim.DeriveSeed(seed, i))
+				key = rng.Uint64()
+				rngs.Put(rng)
 			}
 			return m.EncryptJobSeeded(key, plaintext, MaskSeed(seed, i), maxCycles, false)
 		},
@@ -55,7 +70,9 @@ func DESPlaintextSource(m *desprog.Machine, key, fixedPlain uint64, seed int64, 
 		Job: func(i int, fixed bool) (sim.Job, error) {
 			pt := fixedPlain
 			if !fixed {
-				pt = rand.New(rand.NewSource(sim.DeriveSeed(seed, i))).Uint64()
+				rng := seeded(sim.DeriveSeed(seed, i))
+				pt = rng.Uint64()
+				rngs.Put(rng)
 			}
 			return m.EncryptJobSeeded(key, pt, MaskSeed(seed, i), maxCycles, false)
 		},
@@ -72,11 +89,12 @@ func KernelSecretSource(m *kernels.Machine, fixedSecret, public []uint32, wordMa
 		Job: func(i int, fixed bool) (sim.Job, error) {
 			secret := fixedSecret
 			if !fixed {
-				rng := rand.New(rand.NewSource(sim.DeriveSeed(seed, i)))
+				rng := seeded(sim.DeriveSeed(seed, i))
 				secret = make([]uint32, len(fixedSecret))
 				for j := range secret {
 					secret[j] = rng.Uint32() & wordMask
 				}
+				rngs.Put(rng)
 			}
 			job, err := m.JobSeeded(secret, public, MaskSeed(seed, i), false)
 			if err != nil {

@@ -111,6 +111,16 @@ func NewVecOrder(n, order int) *Vec {
 	return v
 }
 
+// reset empties the accumulator. Cleared to +0, it is bit-identical to a
+// fresh NewVecOrder of its length and order.
+func (v *Vec) reset() {
+	v.n, v.inv = 0, 0
+	clear(v.Mean)
+	clear(v.M2)
+	clear(v.M3)
+	clear(v.M4)
+}
+
 // Order returns the accumulator's statistical order (1 or 2).
 func (v *Vec) Order() int {
 	if v.M3 != nil {

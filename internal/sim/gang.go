@@ -1,6 +1,10 @@
 package sim
 
-import "desmask/internal/gang"
+import (
+	"slices"
+
+	"desmask/internal/gang"
+)
 
 // Gang-mode session layer: Options.GangWidth > 1 opts a batch into
 // gang-scheduled lockstep execution (internal/gang) for jobs that attach no
@@ -84,19 +88,19 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	traced := jobs[0].Trace
 
 	// Mirror grouping: jobs with bit-identical initial state (the same memory
-	// pokes, onto identically reset lanes of the same program, under the same
-	// budget) are deterministic replicas — one engine lane executes for all of
-	// them and every mirror copies its results. TVLA's fixed population makes
-	// this the common case: half of every assessment batch is the same job
-	// repeated. Mirrors sharing a lane must also share the lane's observation
-	// shape, so a job only mirrors one with an equally sized sample buffer.
+	// pokes, Writes and mask run alike, onto identically reset lanes of the
+	// same program, under the same budget) are deterministic replicas — one
+	// engine lane executes for all of them and every mirror copies its
+	// results. TVLA's fixed population makes this the common case: half of
+	// every assessment batch is the same job repeated. Mirrors sharing a lane
+	// must also share the lane's observation shape, so a job only mirrors one
+	// with an equally sized sample buffer.
 	reps := w.gangReps[:0]
 	laneOf := w.gangLaneOf[:0]
 	for i := range jobs {
 		lane := -1
 		for l, ri := range reps {
-			if writesEqual(jobs[i].Writes, jobs[ri].Writes) &&
-				len(bufAt(i)) == len(bufAt(ri)) {
+			if jobs[i].mirrors(&jobs[ri]) && len(bufAt(i)) == len(bufAt(ri)) {
 				lane = l
 				break
 			}
@@ -136,18 +140,16 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 		}
 	}
 	for l, ri := range reps {
-		for _, wr := range jobs[ri].Writes {
-			if err := e.Lane(l).Mem.StoreWord(wr.Addr, wr.Val); err != nil {
-				// A failed poke is a job-setup fault, reported per job.
-				for i := range jobs {
-					if len(reps) > 1 {
-						replay(i)
-					} else {
-						results[i] = Result{Err: err}
-					}
+		if err := jobs[ri].poke(e.Lane(l).Mem); err != nil {
+			// A failed poke is a job-setup fault, reported per job.
+			for i := range jobs {
+				if len(reps) > 1 {
+					replay(i)
+				} else {
+					results[i] = Result{Err: err}
 				}
-				return
 			}
+			return
 		}
 	}
 
@@ -178,17 +180,10 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	}
 }
 
-// writesEqual reports whether two poke sequences are identical.
-func writesEqual(a, b []Write) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// mirrors reports whether two jobs poke identical memory: the same Writes
+// and the same mask run.
+func (j *Job) mirrors(o *Job) bool {
+	return j.Pool == o.Pool && slices.Equal(j.Writes, o.Writes)
 }
 
 // gangUnits cuts the batch into execution units before any worker starts:

@@ -7,6 +7,12 @@
 // workloads (DPA trace collection, leak-check sweeps, policy comparisons)
 // scale with cores instead of paying per-run wiring and allocation.
 //
+// Job setup: a job pokes its Writes into a freshly reset lane and, among
+// them, a MaskRun — consecutive words of the splitmix64 MaskStream, named
+// by stream state and drawn as they are stored — so a masked program's
+// 4,096-word fresh-mask pool costs a job 32 bytes. One routine pokes every
+// lane, one-lane or gang; Job.Pokes yields the words in that order.
+//
 // Determinism contract: a job's result depends only on the job — every
 // worker starts from an identical power-on core (gang.Engine.Reset), jobs
 // never share mutable state, and per-job randomness must be derived with
@@ -45,7 +51,8 @@ import (
 const DefaultMaxCycles = 4_000_000
 
 // Write pokes one word into data memory before a run. Writes are applied in
-// slice order, so job setup is fully deterministic.
+// slice order, with a job's mask run (Job.Pool) among them, so job setup is
+// fully deterministic.
 type Write struct {
 	Addr uint32
 	Val  uint32
@@ -112,6 +119,9 @@ func (s ProbeSpec) instantiate(meter *energy.Probe) []cpu.Probe {
 type Job struct {
 	// Writes are applied to data memory, in order, before the first cycle.
 	Writes []Write
+	// Pool is a run of mask-stream words poked among Writes (see MaskRun
+	// and Pokes): the fresh-mask pool of a masked program.
+	Pool MaskRun
 	// Reads are copied out of data memory after the run, into Result.Mem.
 	Reads []Read
 	// MaxCycles truncates the run; 0 uses the runner default.
@@ -380,10 +390,8 @@ func (r *Runner) runOn(w *worker, job Job) Result {
 	if err := e.Reset(1); err != nil {
 		return Result{Err: err}
 	}
-	for _, wr := range job.Writes {
-		if err := e.Lane(0).Mem.StoreWord(wr.Addr, wr.Val); err != nil {
-			return Result{Err: err}
-		}
+	if err := job.poke(e.Lane(0).Mem); err != nil {
+		return Result{Err: err}
 	}
 	budget := r.budget(job)
 	meter := e.EnableMeter()

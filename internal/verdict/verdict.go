@@ -13,6 +13,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"sync"
 	"time"
 
 	"desmask/internal/asm"
@@ -89,7 +90,8 @@ type Workload struct {
 // population and locates its window. A nil cache compiles every time. The
 // context is threaded through the cache wait, the compile and the window
 // probe, so an expired request stops at the next stage boundary with the
-// context's error.
+// context's error. A cached program also keeps the windows located on it:
+// a repeat request skips the probe.
 func Build(ctx context.Context, req Request, cache *Cache) (*Workload, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -130,23 +132,31 @@ func Build(ctx context.Context, req Request, cache *Cache) (*Workload, error) {
 		if cache != nil && cache.gang != nil {
 			m.Runner().GangCounts = cache.gang
 		}
-		return m, nil
+		return &program{m: m}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	w.CacheHit = hit
+	prog := v.(*program)
 
 	winStart := time.Now()
-	switch m := v.(type) {
+	rk := regionKey{maxCycles: r.MaxCycles}
+	var probe func() (leakstat.Region, error)
+	switch m := prog.m.(type) {
 	case *desprog.Machine:
 		w.DES, w.Vary, w.secretWords = m, r.Vary, 64
+		rk.vary, rk.key, rk.plaintext = r.Vary, r.KeyV, r.PlaintextV
 		if r.Vary == "plaintext" {
 			w.Source = leakstat.DESPlaintextSource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			w.Region, err = leakstat.DESRound1WindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
+			probe = func() (leakstat.Region, error) {
+				return leakstat.DESRound1WindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
+			}
 		} else {
 			w.Source = leakstat.DESKeySource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			w.Region, err = leakstat.DESMaskedWindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
+			probe = func() (leakstat.Region, error) {
+				return leakstat.DESMaskedWindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
+			}
 		}
 	case *kernels.Machine:
 		w.Kernel = m
@@ -160,15 +170,65 @@ func Build(ctx context.Context, req Request, cache *Cache) (*Workload, error) {
 			secret, public, mask = kernels.TVLAInputs(k)
 		}
 		w.secretWords = len(secret)
-		w.Region, err = leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
+		rk.inputs = fmt.Sprint(secret, public)
 		w.Source = leakstat.KernelSecretSource(m, secret, public, mask, r.Seed, r.MaxCycles)
+		probe = func() (leakstat.Region, error) {
+			return leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
+		}
 	}
-	if err != nil {
+	if w.Region, err = prog.region(rk, probe); err != nil {
 		return nil, err
 	}
 	w.Window = time.Since(winStart)
 	w.Config.Window = w.Region.Window
 	return w, nil
+}
+
+// maxRegions bounds the windows a cached program keeps.
+const maxRegions = 8
+
+// program is a cache entry's value: the built machine and the windows
+// located on it. A window is a pure function of the machine, the
+// population's fixed inputs and the cycle budget, so a repeat request
+// reuses it instead of running the traced probe again.
+type program struct {
+	m interface{ Runner() *sim.Runner }
+
+	mu      sync.Mutex
+	regions map[regionKey]leakstat.Region
+}
+
+// regionKey is what a window depends on besides the program: the DES
+// population variable and fixed inputs, or a kernel's fixed secret and
+// public words, and the cycle budget.
+type regionKey struct {
+	vary           string
+	key, plaintext uint64
+	inputs         string
+	maxCycles      uint64
+}
+
+// region returns the window of k, running probe only when the program
+// keeps none. It keeps what probe finds, not a failure, and drops every
+// kept window once it holds maxRegions.
+func (p *program) region(k regionKey, probe func() (leakstat.Region, error)) (leakstat.Region, error) {
+	p.mu.Lock()
+	reg, ok := p.regions[k]
+	p.mu.Unlock()
+	if ok {
+		return reg, nil
+	}
+	reg, err := probe()
+	if err != nil {
+		return reg, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.regions == nil || len(p.regions) >= maxRegions {
+		p.regions = make(map[regionKey]leakstat.Region)
+	}
+	p.regions[k] = reg
+	return reg, nil
 }
 
 // cacheKeyFor derives the program-cache key: built-in workloads are keyed by

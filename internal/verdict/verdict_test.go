@@ -198,3 +198,79 @@ func TestBuildDeadContext(t *testing.T) {
 		t.Fatalf("dead context left %d cache entries", cache.Len())
 	}
 }
+
+// TestBuildReusesRegion: a cached program keeps the windows located on it.
+// A repeat request reuses the region without running the probe — the
+// runner simulates no cycle — while a changed max_cycles or fixed input
+// probes again, and a failed probe is not kept.
+func TestBuildReusesRegion(t *testing.T) {
+	cache := NewCache(4, nil)
+	build := func(a cliconf.Assess, custom *Custom) (*Workload, error) {
+		t.Helper()
+		r, err := a.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Build(context.Background(), Request{Params: r, Custom: custom}, cache)
+	}
+	probed := func(what string, a cliconf.Assess, custom *Custom, want bool) *Workload {
+		t.Helper()
+		var before uint64
+		if wl, err := build(a, custom); err == nil {
+			before = wl.Source.Runner.CyclesSimulated()
+		} else {
+			t.Fatal(err)
+		}
+		wl, err := build(a, custom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wl.Source.Runner.CyclesSimulated() != before; got != want {
+			t.Errorf("%s: probed %v, want %v", what, got, want)
+		}
+		return wl
+	}
+	des := cliconf.Assess{Kernel: "des", Policy: "none", Vary: "key", Traces: 16, Seed: 7, MaxCycles: 6000}
+	first := probed("repeat DES request", des, nil, false)
+	des.Seed = 8
+	if again := probed("DES request with another seed", des, nil, false); again.Region != first.Region {
+		t.Errorf("reused region %+v, want %+v", again.Region, first.Region)
+	}
+
+	r, err := des.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := first.Source.Runner.CyclesSimulated()
+	r.MaxCycles = 5000
+	wl, err := Build(context.Background(), Request{Params: r}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wl.Source.Runner.CyclesSimulated() == before || wl.Region.End != 5000 {
+		t.Errorf("changed max_cycles: probed %v, region %+v, want a new probe ending at 5000",
+			wl.Source.Runner.CyclesSimulated() != before, wl.Region)
+	}
+
+	custom := teaSource()
+	tea := cliconf.Assess{Kernel: "des", Vary: "key", Policy: "none", Traces: 16, Seed: 7}
+	runner := probed("repeat custom request", tea, custom, false).Source.Runner
+	other := *custom
+	other.Secret = []uint32{9, 9, 9, 9}
+	before = runner.CyclesSimulated()
+	if wl, err := build(tea, &other); err != nil || wl.Source.Runner != runner || runner.CyclesSimulated() == before {
+		t.Errorf("custom request with another secret: err %v, want a new probe on the cached program", err)
+	}
+
+	// Round 1 starts past a 50-cycle budget: the probe fails every time.
+	bad := cliconf.Assess{Kernel: "des", Policy: "none", Vary: "plaintext", Traces: 16, Seed: 7, MaxCycles: 50}
+	for i := 0; i < 2; i++ {
+		before := first.Source.Runner.CyclesSimulated()
+		if _, err := build(bad, nil); err == nil {
+			t.Fatal("round 1 past a 50-cycle budget: no error")
+		}
+		if first.Source.Runner.CyclesSimulated() == before {
+			t.Errorf("attempt %d: a failed probe was kept", i)
+		}
+	}
+}
