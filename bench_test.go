@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"desmask/internal/compiler"
-	"desmask/internal/core"
 	"desmask/internal/des"
 	"desmask/internal/desprog"
 	"desmask/internal/dpa"
@@ -177,59 +176,57 @@ func BenchmarkDPA_MaskedFails(b *testing.B) {
 	b.ReportMetric(peak, "masked-peak-pJ")
 }
 
-// benchEncrypt measures one full simulated encryption at a policy,
-// reporting µJ and simulated cycles.
-func benchEncrypt(b *testing.B, policy compiler.Policy) {
+// benchEncrypt measures one full simulated encryption of the DES program
+// compiled under policy with energy configuration cfg, reporting µJ and
+// simulated cycles.
+func benchEncrypt(b *testing.B, policy compiler.Policy, cfg energy.Config) {
 	b.Helper()
-	s, err := core.NewSystem(policy)
+	m, err := desprog.NewFull(compiler.Options{Policy: policy}, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res core.EncryptResult
+	var (
+		stats sim.Stats
+		done  bool
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = s.Encrypt(benchKey, benchPlain)
-		if err != nil {
-			b.Fatal(err)
+		_, stats, done, err = m.Encrypt(benchKey, benchPlain, 0)
+		if err != nil || !done {
+			b.Fatalf("encryption failed (done=%v): %v", done, err)
 		}
 	}
-	b.ReportMetric(res.TotalUJ(), "uJ")
-	b.ReportMetric(float64(res.Stats.Cycles), "sim-cycles")
+	b.ReportMetric(stats.Energy.Total/1e6, "uJ")
+	b.ReportMetric(float64(stats.Cycles), "sim-cycles")
 }
 
 // BenchmarkEncrypt_PolicyNone is the paper's unprotected baseline (46.4 µJ).
-func BenchmarkEncrypt_PolicyNone(b *testing.B) { benchEncrypt(b, compiler.PolicyNone) }
+func BenchmarkEncrypt_PolicyNone(b *testing.B) {
+	benchEncrypt(b, compiler.PolicyNone, energy.DefaultConfig())
+}
 
 // BenchmarkEncrypt_PolicySelective is the paper's scheme (52.6 µJ).
-func BenchmarkEncrypt_PolicySelective(b *testing.B) { benchEncrypt(b, compiler.PolicySelective) }
+func BenchmarkEncrypt_PolicySelective(b *testing.B) {
+	benchEncrypt(b, compiler.PolicySelective, energy.DefaultConfig())
+}
 
 // BenchmarkEncrypt_PolicyNaiveLoadStore is the naive all-loads/stores point
 // (63.6 µJ).
 func BenchmarkEncrypt_PolicyNaiveLoadStore(b *testing.B) {
-	benchEncrypt(b, compiler.PolicyNaiveLoadStore)
+	benchEncrypt(b, compiler.PolicyNaiveLoadStore, energy.DefaultConfig())
 }
 
 // BenchmarkEncrypt_PolicyAllSecure is the full dual-rail point (83.5 µJ).
-func BenchmarkEncrypt_PolicyAllSecure(b *testing.B) { benchEncrypt(b, compiler.PolicyAllSecure) }
+func BenchmarkEncrypt_PolicyAllSecure(b *testing.B) {
+	benchEncrypt(b, compiler.PolicyAllSecure, energy.DefaultConfig())
+}
 
 // BenchmarkAblation_NoClockGating measures the cost of leaving the
 // complementary datapath ungated (DESIGN.md §6.5).
 func BenchmarkAblation_NoClockGating(b *testing.B) {
 	cfg := energy.DefaultConfig()
 	cfg.ClockGating = false
-	s, err := core.NewSystemWithConfig(compiler.PolicySelective, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res core.EncryptResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = s.Encrypt(benchKey, benchPlain)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.TotalUJ(), "uJ")
+	benchEncrypt(b, compiler.PolicySelective, cfg)
 }
 
 // BenchmarkAblation_NoPrecharge measures the (leaky) dual-rail-without-
@@ -237,19 +234,7 @@ func BenchmarkAblation_NoClockGating(b *testing.B) {
 func BenchmarkAblation_NoPrecharge(b *testing.B) {
 	cfg := energy.DefaultConfig()
 	cfg.DualRailPrecharge = false
-	s, err := core.NewSystemWithConfig(compiler.PolicySelective, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res core.EncryptResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = s.Encrypt(benchKey, benchPlain)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.TotalUJ(), "uJ")
+	benchEncrypt(b, compiler.PolicySelective, cfg)
 }
 
 // BenchmarkSimulator measures raw pipeline throughput in simulated cycles

@@ -20,8 +20,6 @@ import (
 	"os"
 
 	"desmask/internal/cliconf"
-	"desmask/internal/compiler"
-	"desmask/internal/core"
 	"desmask/internal/des"
 	"desmask/internal/desprog"
 	"desmask/internal/sim"
@@ -62,40 +60,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "desenc:", err)
 		os.Exit(2)
 	}
-	var out uint64
-	var st sim.Stats
+	newMachine, ref := desprog.New, des.Encrypt
 	if *decrypt {
-		m, err := desprog.NewDecrypt(pol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "desenc:", err)
-			os.Exit(1)
-		}
-		pt, stats, done, err := m.Encrypt(key, block, 0)
-		if err != nil || !done {
-			fmt.Fprintln(os.Stderr, "desenc: simulated decryption failed:", err)
-			os.Exit(1)
-		}
-		if want := des.Decrypt(key, block); pt != want {
-			fmt.Fprintf(os.Stderr, "desenc: simulator/reference mismatch: %016X vs %016X\n", pt, want)
-			os.Exit(1)
-		}
-		out, st = pt, stats
-	} else {
-		s, err := core.NewSystem(pol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "desenc:", err)
-			os.Exit(1)
-		}
-		res, err := s.Encrypt(key, block)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "desenc:", err)
-			os.Exit(1)
-		}
-		if want := des.Encrypt(key, block); res.Cipher != want {
-			fmt.Fprintf(os.Stderr, "desenc: simulator/reference mismatch: %016X vs %016X\n", res.Cipher, want)
-			os.Exit(1)
-		}
-		out, st = res.Cipher, res.Stats
+		newMachine, ref = desprog.NewDecrypt, des.Decrypt
+	}
+	m, err := newMachine(pol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "desenc:", err)
+		os.Exit(1)
+	}
+	out, st, done, err := m.Encrypt(key, block, 0)
+	if err != nil || !done {
+		fmt.Fprintln(os.Stderr, "desenc: simulated run failed:", err)
+		os.Exit(1)
+	}
+	if want := ref(key, block); out != want {
+		fmt.Fprintf(os.Stderr, "desenc: simulator/reference mismatch: %016X vs %016X\n", out, want)
+		os.Exit(1)
 	}
 	fmt.Printf("%016X\n", out)
 	if *stats {
@@ -104,7 +85,7 @@ func main() {
 		fmt.Printf("energy=%.2f uJ avg=%.1f pJ/cycle\n", st.Energy.Total/1e6, st.AvgPJPerCycle())
 	}
 	if *trials > 0 && !*decrypt {
-		if err := runTrials(pol, *trials); err != nil {
+		if err := runTrials(m, *trials); err != nil {
 			fmt.Fprintln(os.Stderr, "desenc:", err)
 			os.Exit(1)
 		}
@@ -115,11 +96,7 @@ func main() {
 // session's worker pool and checks every ciphertext against the reference
 // implementation. The pairs derive from per-trial seeds, so a rerun checks
 // the same vectors regardless of worker count.
-func runTrials(pol compiler.Policy, n int) error {
-	m, err := desprog.New(pol)
-	if err != nil {
-		return err
-	}
+func runTrials(m *desprog.Machine, n int) error {
 	inputs := make([]desprog.Input, n)
 	for i := range inputs {
 		rng := rand.New(rand.NewSource(sim.DeriveSeed(0xDE5, i)))

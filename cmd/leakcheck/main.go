@@ -65,28 +65,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "leakcheck:", err)
 		os.Exit(1)
 	}
-	// Taint every secure global, filling it with deterministic values.
-	for _, seed := range res.Report.Seeds {
-		g := res.Analysis.File.FindGlobal(seed)
-		if g == nil {
-			continue // function-local seed: tainted when written
-		}
-		n := 1
-		if g.IsArray {
-			n = g.ArrayLen
-		}
-		addr, ok := res.Program.Symbols[compiler.GlobalLabel(g.Name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "leakcheck: no symbol for secure global %q\n", g.Name)
-			os.Exit(1)
-		}
-		for i := 0; i < n; i++ {
-			if err := c.SetWord(addr+uint32(4*i), uint32(i)*0x9e37+1, true); err != nil {
-				fmt.Fprintln(os.Stderr, "leakcheck:", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("tainted %s[%d words] at %#x\n", g.Name, n, addr)
+	tainted, err := taintSecrets(c, res)
+	for _, g := range tainted {
+		fmt.Printf("tainted %s[%d words] at %#x\n", g.name, g.words, g.addr)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "leakcheck:", err)
+		os.Exit(1)
 	}
 
 	rep, err := c.Run()
@@ -132,7 +117,8 @@ func checkAll(src string) error {
 		jobs[i] = leakcheck.CheckJob{
 			Prog: res.Program,
 			Setup: func(c *leakcheck.Checker) error {
-				return taintSecrets(c, res)
+				_, err := taintSecrets(c, res)
+				return err
 			},
 		}
 	}
@@ -157,9 +143,18 @@ func checkAll(src string) error {
 	return nil
 }
 
+// secretGlobal is one secure global taintSecrets tainted.
+type secretGlobal struct {
+	name  string
+	words int
+	addr  uint32
+}
+
 // taintSecrets fills and taints every secure global with deterministic
-// values, mirroring the single-policy path.
-func taintSecrets(c *leakcheck.Checker, res *compiler.Result) error {
+// values and returns the globals it tainted, in seed order, up to any
+// failure.
+func taintSecrets(c *leakcheck.Checker, res *compiler.Result) ([]secretGlobal, error) {
+	var tainted []secretGlobal
 	for _, seed := range res.Report.Seeds {
 		g := res.Analysis.File.FindGlobal(seed)
 		if g == nil {
@@ -171,13 +166,14 @@ func taintSecrets(c *leakcheck.Checker, res *compiler.Result) error {
 		}
 		addr, ok := res.Program.Symbols[compiler.GlobalLabel(g.Name)]
 		if !ok {
-			return fmt.Errorf("no symbol for secure global %q", g.Name)
+			return tainted, fmt.Errorf("no symbol for secure global %q", g.Name)
 		}
 		for i := 0; i < n; i++ {
 			if err := c.SetWord(addr+uint32(4*i), uint32(i)*0x9e37+1, true); err != nil {
-				return err
+				return tainted, err
 			}
 		}
+		tainted = append(tainted, secretGlobal{g.Name, n, addr})
 	}
-	return nil
+	return tainted, nil
 }

@@ -7,8 +7,8 @@
 // model, the DES workload, and the SPA/DPA attack framework the scheme
 // defends against.
 //
-// Start with package core for the high-level API, package experiments for
-// the paper's figures and tables, and the executables under cmd/ for CLI
-// access. See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// Start with package desprog to compile and run DES at a protection policy,
+// package experiments for the paper's figures and tables, and the
+// executables under cmd/ for CLI access. See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
 package desmask

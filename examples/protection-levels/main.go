@@ -9,9 +9,8 @@ import (
 	"log"
 
 	"desmask/internal/compiler"
-	"desmask/internal/core"
+	"desmask/internal/desprog"
 	"desmask/internal/experiments"
-	"desmask/internal/trace"
 )
 
 func main() {
@@ -25,42 +24,26 @@ func main() {
 	fmt.Printf("%-18s %10s %12s %10s %8s\n", "policy", "total uJ", "pJ/cycle", "overhead", "leaks")
 	var baseUJ float64
 	for _, pol := range compiler.Policies() {
-		s, err := core.NewSystem(pol)
+		m, err := desprog.New(pol)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.Encrypt(key, plain)
+		_, st, _, err := m.Encrypt(key, plain, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		uj := st.Energy.Total / 1e6
 		if pol == compiler.PolicyNone {
-			baseUJ = res.TotalUJ()
+			baseUJ = uj
 		}
 		// Leak check: differential of two keys over the whole pre-output
 		// region.
-		_, tr, err := s.EncryptWithTrace(key, plain)
-		if err != nil {
-			log.Fatal(err)
-		}
-		entry, err := s.Machine().EntryPC("output_permutation")
-		if err != nil {
-			log.Fatal(err)
-		}
-		end := tr.Len()
-		for i, pc := range tr.PCs {
-			if pc == entry {
-				end = i
-				break
-			}
-		}
-		w := trace.Window{Start: 0, End: end}
-		_, sum, err := s.DifferentialTrace(key, plain, key2, plain, &w)
+		d, _, err := experiments.DESDifferential(m, key, plain, key2, plain, experiments.MaskedRegion(&m.Machine))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %10.2f %12.1f %+9.1f%% %8v\n",
-			pol, res.TotalUJ(), res.Stats.AvgPJPerCycle(),
-			100*(res.TotalUJ()/baseUJ-1), !sum.Flat)
+			pol, uj, st.AvgPJPerCycle(), 100*(uj/baseUJ-1), !d.Flat)
 	}
 
 	fmt.Println("\n=== architectural ablations (DESIGN.md §6) ===")

@@ -14,7 +14,6 @@ package desprog
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"desmask/internal/compiler"
 	"desmask/internal/des"
@@ -240,29 +239,18 @@ const (
 )
 
 // Machine is a compiled DES program ready to encrypt on the simulator under
-// one protection policy and energy configuration.
+// one protection policy and energy configuration. Its secret is the key, and
+// the output permutation declassifies the ciphertext.
 type Machine struct {
-	Policy compiler.Policy
-	Res    *compiler.Result
-	Cfg    energy.Config
+	harness.Machine
 	// Decrypt marks a machine built from SourceDecrypt.
 	Decrypt bool
-
-	layout     *harness.Layout
-	runnerOnce sync.Once
-	runner     *sim.Runner
 }
 
 // New compiles the DES program under the given policy with the default
 // energy configuration.
 func New(policy compiler.Policy) (*Machine, error) {
-	return NewWithConfig(policy, energy.DefaultConfig())
-}
-
-// NewWithConfig compiles the DES program with an explicit energy model
-// configuration (for ablations).
-func NewWithConfig(policy compiler.Policy, cfg energy.Config) (*Machine, error) {
-	return NewFull(compiler.Options{Policy: policy}, cfg)
+	return NewFull(compiler.Options{Policy: policy}, energy.DefaultConfig())
 }
 
 // NewFull compiles the DES program with full compiler options and energy
@@ -281,19 +269,17 @@ func NewDecrypt(policy compiler.Policy) (*Machine, error) {
 // newMachine compiles a DES program and resolves its job layout.
 func newMachine(src string, opt compiler.Options, cfg energy.Config, decrypt bool) (*Machine, error) {
 	res, err := compiler.CompileWithOptions(src, opt)
-	var layout *harness.Layout
+	m := &Machine{Decrypt: decrypt}
 	if err == nil {
-		layout, err = harness.Resolve(res, []harness.Port{{Field: "key", Global: "key"}, {Field: "plaintext", Global: "plaintext"}},
+		err = m.Init(res, cfg, FuncOutputPermutation,
+			[]harness.Port{{Field: "key", Global: "key"}, {Field: "plaintext", Global: "plaintext"}},
 			harness.Port{Field: "cipher", Global: "cipher"}, 64)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("desprog: %w", err)
 	}
-	return &Machine{Policy: opt.Policy, Res: res, Cfg: cfg, Decrypt: decrypt, layout: layout}, nil
+	return m, nil
 }
-
-// MaxCycles generously bounds one full encryption.
-const MaxCycles = 4_000_000
 
 // spreadBits unpacks v into the 64 words of dst, MSB first.
 func spreadBits(dst []uint32, v uint64) {
@@ -309,35 +295,6 @@ func gatherBits(words []uint32) uint64 {
 		v = v<<1 | uint64(words[i]&1)
 	}
 	return v
-}
-
-// EntryPC returns the first-instruction address of phase function fn
-// ("key_generation" etc.), for locating trace windows.
-func (m *Machine) EntryPC(fn string) (uint32, error) {
-	addr, ok := m.Res.Program.Symbols["f_"+fn]
-	if !ok {
-		return 0, fmt.Errorf("desprog: no function %q in symbol table", fn)
-	}
-	return addr, nil
-}
-
-// DeclassRegion returns the text range [lo, hi) that declassifies the
-// ciphertext: the output permutation, up to main. Taint leaks there are
-// public by design; a sound policy leaks nowhere else.
-func (m *Machine) DeclassRegion() (lo, hi uint32) {
-	syms := m.Res.Program.Symbols
-	return syms["f_"+FuncOutputPermutation], syms["f_main"]
-}
-
-// Runner returns the machine's simulation session (created on first use):
-// the single path from the compiled DES program to the simulator, and the
-// entry point for parallel batch execution.
-func (m *Machine) Runner() *sim.Runner {
-	m.runnerOnce.Do(func() {
-		m.runner = sim.NewRunner(m.Res.Program, m.Cfg)
-		m.runner.MaxCycles = MaxCycles
-	})
-	return m.runner
 }
 
 // EncryptJob assembles the sim.Job of one encryption: the key and plaintext
@@ -362,7 +319,7 @@ func (m *Machine) EncryptJobSeeded(key, plaintext uint64, maskSeed int64, maxCyc
 	var bits [128]uint32
 	spreadBits(bits[:64], key)
 	spreadBits(bits[64:], plaintext)
-	job, err := m.layout.Job(maskSeed, bits[:64], bits[64:])
+	job, err := m.NewJob(maskSeed, bits[:64], bits[64:])
 	if err != nil {
 		return sim.Job{}, fmt.Errorf("desprog: %w", err)
 	}
@@ -371,13 +328,10 @@ func (m *Machine) EncryptJobSeeded(key, plaintext uint64, maskSeed int64, maxCyc
 }
 
 // Encrypt runs one encryption through the simulation session. maxCycles
-// <= 0 uses MaxCycles; when the budget expires before completion (useful for
-// first-round-only attack traces) the partial result is returned with
-// done == false.
+// == 0 uses sim.DefaultMaxCycles; when the budget expires before completion
+// (useful for first-round-only attack traces) the partial result is
+// returned with done == false.
 func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64) (cipherText uint64, stats sim.Stats, done bool, err error) {
-	if maxCycles <= 0 {
-		maxCycles = MaxCycles
-	}
 	job, err := m.EncryptJob(key, plaintext, maxCycles, false)
 	if err != nil {
 		return 0, sim.Stats{}, false, err
@@ -391,11 +345,9 @@ func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64) (cipherText u
 
 // EncryptBatch runs one encryption per plaintext under the same key across
 // the session's worker pool, returning results in plaintext order. capture
-// records each run's full per-cycle trace. maxCycles <= 0 uses MaxCycles.
+// records each run's full per-cycle trace. maxCycles == 0 uses
+// sim.DefaultMaxCycles.
 func (m *Machine) EncryptBatch(key uint64, plaintexts []uint64, maxCycles uint64, capture bool, opts sim.Options) ([]sim.Result, error) {
-	if maxCycles <= 0 {
-		maxCycles = MaxCycles
-	}
 	jobs := make([]sim.Job, len(plaintexts))
 	for i, pt := range plaintexts {
 		job, err := m.EncryptJobSeeded(key, pt, sim.DeriveSeed(0, i), maxCycles, capture)
@@ -413,17 +365,10 @@ type Input struct {
 	Plaintext uint64
 }
 
-// TraceBatch captures full per-cycle traces for several inputs in parallel,
-// returning traces and ciphertexts in input order. Mask seeds derive from
-// base seed 0; attack drivers wanting an explicit mask stream should use
-// TraceBatchSeeded.
-func (m *Machine) TraceBatch(inputs []Input, opts sim.Options) ([]*trace.Trace, []uint64, error) {
-	return m.TraceBatchSeeded(inputs, 0, opts)
-}
-
-// TraceBatchSeeded is TraceBatch with an explicit base mask seed: trace i
-// runs with per-execution masks derived from (maskSeed, i), so every trace
-// of the batch draws an independent fresh-mask stream.
+// TraceBatchSeeded captures full per-cycle traces for several inputs in
+// parallel, returning traces and ciphertexts in input order. Trace i runs
+// with per-execution masks derived from (maskSeed, i), so every trace of
+// the batch draws an independent fresh-mask stream.
 func (m *Machine) TraceBatchSeeded(inputs []Input, maskSeed int64, opts sim.Options) ([]*trace.Trace, []uint64, error) {
 	jobs := make([]sim.Job, len(inputs))
 	for i, in := range inputs {
@@ -441,7 +386,7 @@ func (m *Machine) TraceBatchSeeded(inputs []Input, maskSeed int64, opts sim.Opti
 	ciphers := make([]uint64, len(results))
 	for i, r := range results {
 		if !r.Done {
-			return nil, nil, fmt.Errorf("desprog: encryption %d exceeded %d cycles", i, uint64(MaxCycles))
+			return nil, nil, fmt.Errorf("desprog: encryption %d exceeded %d cycles", i, uint64(sim.DefaultMaxCycles))
 		}
 		traces[i] = r.Trace
 		ciphers[i] = gatherBits(r.Mem[0])
@@ -468,7 +413,7 @@ func (m *Machine) CipherBatch(inputs []Input, opts sim.Options) ([]uint64, error
 	ciphers := make([]uint64, len(results))
 	for i, r := range results {
 		if !r.Done {
-			return nil, fmt.Errorf("desprog: encryption %d exceeded %d cycles", i, uint64(MaxCycles))
+			return nil, fmt.Errorf("desprog: encryption %d exceeded %d cycles", i, uint64(sim.DefaultMaxCycles))
 		}
 		ciphers[i] = gatherBits(r.Mem[0])
 	}
@@ -487,7 +432,7 @@ func (m *Machine) TraceRun(key, plaintext uint64) (*trace.Trace, uint64, sim.Sta
 		return nil, 0, sim.Stats{}, res.Err
 	}
 	if !res.Done {
-		return nil, 0, sim.Stats{}, fmt.Errorf("desprog: encryption exceeded %d cycles", uint64(MaxCycles))
+		return nil, 0, sim.Stats{}, fmt.Errorf("desprog: encryption exceeded %d cycles", uint64(sim.DefaultMaxCycles))
 	}
 	return res.Trace, gatherBits(res.Mem[0]), res.Stats, nil
 }
@@ -527,16 +472,11 @@ func (m *Machine) RoundWindow(tr *trace.Trace, r int) (trace.Window, error) {
 	if r+1 < len(starts) {
 		return trace.Window{Start: starts[r], End: starts[r+1]}, nil
 	}
-	entry, err := m.EntryPC(FuncOutputPermutation)
+	end, err := m.MaskedRegionEnd(tr)
 	if err != nil {
 		return trace.Window{}, err
 	}
-	for i, pc := range tr.PCs {
-		if pc == entry {
-			return trace.Window{Start: starts[r], End: i}, nil
-		}
-	}
-	return trace.Window{Start: starts[r], End: tr.Len()}, nil
+	return trace.Window{Start: starts[r], End: end}, nil
 }
 
 // PhaseWindow returns the cycle window of one phase function's first

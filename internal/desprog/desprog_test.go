@@ -15,6 +15,7 @@ import (
 	"desmask/internal/isa"
 	"desmask/internal/mem"
 	"desmask/internal/minic"
+	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
 
@@ -231,16 +232,9 @@ func TestKeyDifferenceMaskedSelective(t *testing.T) {
 	d, tr, _ := diffTraces(t, m, testKey, testPlain, testKey2, testPlain)
 	// Every cycle up to the output permutation must be identical: the key
 	// never flows through an insecure operation.
-	entry, err := m.EntryPC(FuncOutputPermutation)
+	end, err := m.MaskedRegionEnd(tr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	end := tr.Len()
-	for i, pc := range tr.PCs {
-		if pc == entry {
-			end = i
-			break
-		}
 	}
 	for i := 0; i < end; i++ {
 		if d[i] > 1e-9 {
@@ -286,6 +280,33 @@ func TestSecureInstructionShare(t *testing.T) {
 	frac := float64(stats.SecureInst) / float64(stats.Insts)
 	if frac < 0.02 || frac > 0.5 {
 		t.Errorf("secure instruction share = %.3f, want minority but non-trivial", frac)
+	}
+}
+
+// TestTraceRunCoversEveryCycle: a full traced run records one energy
+// sample per simulated cycle.
+func TestTraceRunCoversEveryCycle(t *testing.T) {
+	tr, _, stats, err := mach(t, compiler.PolicyNone).TraceRun(testKey, testPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(tr.Len()) != stats.Cycles {
+		t.Errorf("trace length %d != cycles %d", tr.Len(), stats.Cycles)
+	}
+	if trace.TotalPJ(tr.Totals) <= 0 {
+		t.Error("empty trace")
+	}
+}
+
+// TestSelectiveReport: the selective policy secures a proper subset of the
+// securable operations, seeded by the key alone.
+func TestSelectiveReport(t *testing.T) {
+	rep := mach(t, compiler.PolicySelective).Res.Report
+	if rep.SecuredOps == 0 || rep.SecuredOps >= rep.TotalOps {
+		t.Errorf("selective report implausible: %+v", rep)
+	}
+	if len(rep.Seeds) != 1 || rep.Seeds[0] != "key" {
+		t.Errorf("seeds = %v", rep.Seeds)
 	}
 }
 
@@ -384,16 +405,9 @@ func TestDecryptMaskedFlat(t *testing.T) {
 	}
 	ct := des.Encrypt(testKey, testPlain)
 	d, tr, _ := diffTraces(t, dec, testKey, ct, testKey2, ct)
-	entry, err := dec.EntryPC(FuncOutputPermutation)
+	end, err := dec.MaskedRegionEnd(tr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	end := tr.Len()
-	for i, pc := range tr.PCs {
-		if pc == entry {
-			end = i
-			break
-		}
 	}
 	for i := 0; i < end; i++ {
 		if d[i] > 1e-9 {
@@ -433,10 +447,10 @@ func TestCosimAgainstGoldenModel(t *testing.T) {
 		pokeBits(m, "key", testKey)
 		pokeBits(m, "plaintext", testPlain)
 	}
-	if err := pipe.Run(MaxCycles); err != nil {
+	if err := pipe.Run(sim.DefaultMaxCycles); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Run(MaxCycles); err != nil {
+	if err := ref.Run(sim.DefaultMaxCycles); err != nil {
 		t.Fatal(err)
 	}
 	if pipe.Stats().Insts != ref.Insts() {

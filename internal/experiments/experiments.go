@@ -19,11 +19,11 @@ import (
 
 	"desmask/internal/cliconf"
 	"desmask/internal/compiler"
-	"desmask/internal/core"
 	"desmask/internal/des"
 	"desmask/internal/desprog"
 	"desmask/internal/dpa"
 	"desmask/internal/energy"
+	"desmask/internal/harness"
 	"desmask/internal/isa"
 	"desmask/internal/kernels"
 	"desmask/internal/leakcheck"
@@ -58,15 +58,15 @@ type Figure6Result struct {
 // buckets give the same 16-round picture with fewer points), plus the SPA
 // evidence that the round structure is visible.
 func Figure6(key, plaintext uint64, bucket int) (*Figure6Result, error) {
-	s, err := core.NewSystem(compiler.PolicyNone)
+	m, err := desprog.New(compiler.PolicyNone)
 	if err != nil {
 		return nil, err
 	}
-	res, tr, err := s.EncryptWithTrace(key, plaintext)
+	tr, _, stats, err := m.TraceRun(key, plaintext)
 	if err != nil {
 		return nil, err
 	}
-	starts, err := s.Machine().RoundStarts(tr)
+	starts, err := m.RoundStarts(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +81,8 @@ func Figure6(key, plaintext uint64, bucket int) (*Figure6Result, error) {
 		Series:      trace.Bucket(tr.Totals, bucket),
 		RoundStarts: starts,
 		SPA:         dpa.SPA(tr.Totals, bucket, minP, maxP),
-		TotalUJ:     res.TotalUJ(),
-		Cycles:      res.Stats.Cycles,
+		TotalUJ:     stats.Energy.Total / 1e6,
+		Cycles:      stats.Cycles,
 	}, nil
 }
 
@@ -99,35 +99,78 @@ type DifferentialResult struct {
 	Flat bool
 }
 
-// differential runs two (key, plaintext) pairs under one policy — as one
-// batch through the system's simulation session — and extracts the
-// differential over a window selected by sel.
-func differential(policy compiler.Policy, k1, p1, k2, p2 uint64,
-	sel func(m *desprog.Machine, tr *trace.Trace) (trace.Window, error)) (*DifferentialResult, error) {
-	s, err := core.NewSystem(policy)
+// diffRuns runs jobs a and b, both capturing their traces, as one batch
+// through r, locates a window on a's trace with sel, and summarises the
+// per-cycle differential a − b inside it: the one two-run comparison behind
+// Figures 7-11, the ablations and the kernel flatness rows. It returns a's
+// trace too. Policy and Flat are left to the caller, each keeping its own
+// flatness rule.
+func diffRuns(r *sim.Runner, a, b sim.Job, sel func(*trace.Trace) (trace.Window, error)) (*DifferentialResult, *trace.Trace, error) {
+	res, err := r.RunBatch([]sim.Job{a, b}, sim.Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	traces, _, err := s.Machine().TraceBatch(
-		[]desprog.Input{{Key: k1, Plaintext: p1}, {Key: k2, Plaintext: p2}}, sim.Options{})
-	if err != nil {
-		return nil, err
+	if !res[0].Done || !res[1].Done {
+		return nil, nil, fmt.Errorf("experiments: run exceeded %d cycles", uint64(sim.DefaultMaxCycles))
 	}
-	t1, t2 := traces[0], traces[1]
-	d, err := trace.Diff(t1.Totals, t2.Totals)
+	t1 := res[0].Trace
+	d, err := trace.Diff(t1.Totals, res[1].Trace.Totals)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w, err := sel(s.Machine(), t1)
+	w, err := sel(t1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	seg := d[w.Start:w.End]
-	st := trace.Summarize(seg)
-	return &DifferentialResult{
-		Policy: policy, Window: w, Diff: seg, Stats: st,
-		Flat: st.MaxAbs < 1e-9,
-	}, nil
+	return &DifferentialResult{Window: w, Diff: seg, Stats: trace.Summarize(seg)}, t1, nil
+}
+
+// DESDifferential runs the encryptions of (k1, p1) and (k2, p2) on m as one
+// batch, with the mask seeds TraceBatchSeeded draws from base seed 0, and
+// summarises their differential over the window sel locates on the first
+// run's trace. The window is flat when no cycle in it differs beyond
+// numerical noise.
+func DESDifferential(m *desprog.Machine, k1, p1, k2, p2 uint64, sel func(*trace.Trace) (trace.Window, error)) (*DifferentialResult, *trace.Trace, error) {
+	a, err := m.EncryptJobSeeded(k1, p1, sim.DeriveSeed(0, 0), 0, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := m.EncryptJobSeeded(k2, p2, sim.DeriveSeed(0, 1), 0, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, t1, err := diffRuns(m.Runner(), a, b, sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.Flat = d.Stats.MaxAbs < 1e-9
+	return d, t1, nil
+}
+
+// MaskedRegion selects the masked region of m: from the first cycle up to
+// the declassifying function's entry.
+func MaskedRegion(m *harness.Machine) func(*trace.Trace) (trace.Window, error) {
+	return func(tr *trace.Trace) (trace.Window, error) {
+		end, err := m.MaskedRegionEnd(tr)
+		return trace.Window{End: end}, err
+	}
+}
+
+// differential runs two (key, plaintext) pairs under one policy and
+// extracts the differential over a window selected by sel.
+func differential(policy compiler.Policy, k1, p1, k2, p2 uint64,
+	sel func(m *desprog.Machine, tr *trace.Trace) (trace.Window, error)) (*DifferentialResult, error) {
+	m, err := desprog.New(policy)
+	if err != nil {
+		return nil, err
+	}
+	d, _, err := DESDifferential(m, k1, p1, k2, p2, func(tr *trace.Trace) (trace.Window, error) { return sel(m, tr) })
+	if err != nil {
+		return nil, err
+	}
+	d.Policy = policy
+	return d, nil
 }
 
 func round1Window(m *desprog.Machine, tr *trace.Trace) (trace.Window, error) {
@@ -213,30 +256,29 @@ type Figure12Result struct {
 // Figure12 reproduces Figure 12: the additional energy consumed by masking
 // during the first key permutation.
 func Figure12(key, plaintext uint64) (*Figure12Result, error) {
-	// The two policies run in parallel: each system owns its own session, so
+	// The two policies run in parallel: each machine owns its own session, so
 	// the pair of traced runs fans out with sim.ForEach.
-	systems := make([]*core.System, 2)
+	machines := make([]*desprog.Machine, 2)
 	traces := make([]*trace.Trace, 2)
 	for i, pol := range []compiler.Policy{compiler.PolicyNone, compiler.PolicySelective} {
-		s, err := core.NewSystem(pol)
+		m, err := desprog.New(pol)
 		if err != nil {
 			return nil, err
 		}
-		systems[i] = s
+		machines[i] = m
 	}
 	err := sim.ForEach(2, 0, func(i int) error {
-		_, tr, err := systems[i].EncryptWithTrace(key, plaintext)
+		tr, _, err := machines[i].Trace(key, plaintext)
 		traces[i] = tr
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	sSel := systems[1]
 	tN, tS := traces[0], traces[1]
 	// The two policies compile to the same instruction sequence (secure
 	// bits only), so cycles align and the windows agree.
-	w, err := sSel.Machine().PhaseWindow(tS, desprog.FuncKeyPermutation, desprog.FuncKeyGeneration)
+	w, err := machines[1].PhaseWindow(tS, desprog.FuncKeyPermutation, desprog.FuncKeyGeneration)
 	if err != nil {
 		return nil, err
 	}
@@ -254,9 +296,90 @@ func Figure12(key, plaintext uint64) (*Figure12Result, error) {
 	}, nil
 }
 
+// PolicyEnergy is one row of the policy comparison (the paper's §4.3
+// totals: 46.4 / 52.6 / 63.6 / 83.5 µJ).
+type PolicyEnergy struct {
+	Policy     compiler.Policy
+	TotalUJ    float64
+	AvgPJCycle float64
+	Cycles     uint64
+	SecureInst uint64
+	Insts      uint64
+}
+
+// EnergyReport compares the protection policies on one workload.
+type EnergyReport struct {
+	Rows []PolicyEnergy
+}
+
+// Row returns the row for a policy.
+func (r *EnergyReport) Row(p compiler.Policy) (PolicyEnergy, bool) {
+	for _, row := range r.Rows {
+		if row.Policy == p {
+			return row, true
+		}
+	}
+	return PolicyEnergy{}, false
+}
+
+// Overhead returns a policy's additional energy over the unprotected run,
+// in µJ.
+func (r *EnergyReport) Overhead(p compiler.Policy) float64 {
+	base, ok1 := r.Row(compiler.PolicyNone)
+	row, ok2 := r.Row(p)
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return row.TotalUJ - base.TotalUJ
+}
+
+// HeadlineSavings returns the paper's abstract claim: the fraction of the
+// full-dual-rail additional energy that selective masking avoids
+// (1 − overhead(selective)/overhead(all-secure) ≈ 0.83).
+func (r *EnergyReport) HeadlineSavings() float64 {
+	all := r.Overhead(compiler.PolicyAllSecure)
+	if all == 0 {
+		return 0
+	}
+	return 1 - r.Overhead(compiler.PolicySelective)/all
+}
+
+// ComparePolicies encrypts the same block under each policy and tabulates
+// energy. Policies compile and run in parallel; rows come back in policy
+// order.
+func ComparePolicies(key, plaintext uint64, policies []compiler.Policy) (*EnergyReport, error) {
+	rows := make([]PolicyEnergy, len(policies))
+	err := sim.ForEach(len(policies), 0, func(i int) error {
+		m, err := desprog.New(policies[i])
+		if err != nil {
+			return err
+		}
+		_, stats, done, err := m.Encrypt(key, plaintext, 0)
+		if err != nil {
+			return err
+		}
+		if !done {
+			return fmt.Errorf("experiments: policy %v: encryption did not finish", policies[i])
+		}
+		rows[i] = PolicyEnergy{
+			Policy:     policies[i],
+			TotalUJ:    stats.Energy.Total / 1e6,
+			AvgPJCycle: stats.AvgPJPerCycle(),
+			Cycles:     stats.Cycles,
+			SecureInst: stats.SecureInst,
+			Insts:      stats.Insts,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &EnergyReport{Rows: rows}, nil
+}
+
 // TableResult is the §4.3 energy-total comparison.
 type TableResult struct {
-	Report *core.EnergyReport
+	Report *EnergyReport
 	// PaperUJ are the paper's published totals for reference.
 	PaperUJ map[compiler.Policy]float64
 }
@@ -267,7 +390,7 @@ func (t *TableResult) HeadlineSavings() float64 { return t.Report.HeadlineSaving
 // TableTotals reproduces the §4.3 totals across the paper's four design
 // points.
 func TableTotals(key, plaintext uint64) (*TableResult, error) {
-	rep, err := core.ComparePolicies(key, plaintext, []compiler.Policy{
+	rep, err := ComparePolicies(key, plaintext, []compiler.Policy{
 		compiler.PolicyNone, compiler.PolicySelective,
 		compiler.PolicyNaiveLoadStore, compiler.PolicyAllSecure,
 	})
@@ -537,30 +660,25 @@ func Workloads() ([]WorkloadRow, error) {
 			row.Cycles = stats.Cycles
 			row.UJ[pol] = stats.Energy.Total / 1e6
 		}
-		// Flatness check on the selective build.
+		// Flatness check on the selective build: the masked region must
+		// not differ at all between the two secrets.
 		m, err := kernels.BuildSimple(k, compiler.PolicySelective)
 		if err != nil {
 			return err
 		}
-		_, t1, err := m.Trace(s1, pub)
+		a, err := m.Job(s1, pub, true)
 		if err != nil {
 			return err
 		}
-		_, t2, err := m.Trace(s2, pub)
+		b, err := m.Job(s2, pub, true)
 		if err != nil {
 			return err
 		}
-		end, err := m.MaskedRegionEnd(t1)
+		d, _, err := diffRuns(m.Runner(), a, b, MaskedRegion(&m.Machine))
 		if err != nil {
 			return err
 		}
-		row.MaskedFlat = true
-		for i := 0; i < end; i++ {
-			if t1.Totals[i] != t2.Totals[i] {
-				row.MaskedFlat = false
-				break
-			}
-		}
+		row.MaskedFlat = d.Stats.MaxAbs == 0
 		kernelRows[ki] = row
 		return nil
 	})
@@ -847,37 +965,18 @@ func ablationDiff(name string, opt compiler.Options, cfg energy.Config) (*Ablati
 	if err != nil {
 		return nil, err
 	}
-	traces, _, err := m.TraceBatch(
-		[]desprog.Input{{Key: DefaultKey, Plaintext: DefaultPlain}, {Key: DefaultKeyBit1, Plaintext: DefaultPlain}},
-		sim.Options{})
+	d, t1, err := DESDifferential(m, DefaultKey, DefaultPlain, DefaultKeyBit1, DefaultPlain, MaskedRegion(&m.Machine))
 	if err != nil {
 		return nil, err
 	}
-	t1, t2 := traces[0], traces[1]
-	d, err := trace.Diff(t1.Totals, t2.Totals)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := m.EntryPC(desprog.FuncOutputPermutation)
-	if err != nil {
-		return nil, err
-	}
-	end := len(d)
-	for i, pc := range t1.PCs {
-		if pc == entry {
-			end = i
-			break
-		}
-	}
-	st := trace.Summarize(d[:end])
 	var total float64
 	for _, v := range t1.Totals {
 		total += v
 	}
 	return &AblationResult{
 		Name:    name,
-		Leaks:   st.MaxAbs > 1e-9,
-		MaxAbs:  st.MaxAbs,
+		Leaks:   !d.Flat,
+		MaxAbs:  d.Stats.MaxAbs,
 		TotalUJ: total / 1e6,
 	}, nil
 }

@@ -133,6 +133,40 @@ func TestTableTotalsShape(t *testing.T) {
 	}
 }
 
+// TestComparePolicies: the paper's four design points in energy order,
+// selective avoiding ~83% of the dual-rail overhead, all-secure roughly
+// doubling the original, and Row finding only the compared policies.
+func TestComparePolicies(t *testing.T) {
+	rep, err := ComparePolicies(DefaultKey, DefaultPlain, []compiler.Policy{
+		compiler.PolicyNone, compiler.PolicySelective,
+		compiler.PolicyNaiveLoadStore, compiler.PolicyAllSecure,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 4 {
+		t.Fatalf("rows = %d", len(rep.Rows))
+	}
+	var prev float64
+	for i, row := range rep.Rows {
+		if i > 0 && row.TotalUJ <= prev {
+			t.Errorf("%v (%.2f µJ) not above previous (%.2f µJ)", row.Policy, row.TotalUJ, prev)
+		}
+		prev = row.TotalUJ
+	}
+	if hs := rep.HeadlineSavings(); hs < 0.70 || hs > 0.90 {
+		t.Errorf("headline savings = %.1f%%, want ~83%%", 100*hs)
+	}
+	noneRow, _ := rep.Row(compiler.PolicyNone)
+	allRow, _ := rep.Row(compiler.PolicyAllSecure)
+	if ratio := allRow.TotalUJ / noneRow.TotalUJ; ratio < 1.6 || ratio > 2.1 {
+		t.Errorf("all-secure/none = %.2f, want ~1.8", ratio)
+	}
+	if _, ok := rep.Row(compiler.PolicySeedsOnly); ok {
+		t.Error("Row returned a policy that was not compared")
+	}
+}
+
 func TestFigure4Selective(t *testing.T) {
 	f4, err := Figure4CodeGen()
 	if err != nil {

@@ -3,17 +3,97 @@
 // then writes one execution's inputs and per-execution mask material
 // straight into a pre-sized sim.Job, naming the fresh-mask pool by its
 // mask-stream state (sim.MaskRun) rather than carrying its 4,096 words.
-// desprog and kernels both build their jobs here, so a mask seed names one
-// memory setup everywhere.
+// Machine is the compiled program both desprog and kernels embed: DES and
+// the kernels build their jobs, run their sessions and locate their masked
+// regions here, so a mask seed names one memory setup everywhere and one
+// declassifying function bounds the region every window stands for.
 package harness
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"desmask/internal/compiler"
+	"desmask/internal/energy"
 	"desmask/internal/sim"
+	"desmask/internal/trace"
 )
+
+// Machine is one compiled MiniC program ready to run on the simulator
+// under one protection policy and energy configuration.
+type Machine struct {
+	Res *compiler.Result
+	Cfg energy.Config
+	// Secret names the secure-annotated input global, poked first; Declass
+	// names the function that declassifies the output. Its entry ends the
+	// masked region, and the text from it up to main is public by design.
+	Secret, Declass string
+
+	layout     *Layout
+	layoutErr  error
+	runnerOnce sync.Once
+	runner     *sim.Runner
+}
+
+// Init sets up m for res: inputs are poked in the given order, the first
+// being the secret, and outWords words of the output global are read back.
+// A layout that does not resolve is returned, and also reported by every
+// NewJob, so a caller may keep the machine for anything but jobs.
+func (m *Machine) Init(res *compiler.Result, cfg energy.Config, declass string, inputs []Port, output Port, outWords int) error {
+	m.Res, m.Cfg, m.Secret, m.Declass = res, cfg, inputs[0].Global, declass
+	m.layout, m.layoutErr = Resolve(res, inputs, output, outWords)
+	return m.layoutErr
+}
+
+// Runner returns the machine's simulation session, created on first use:
+// the single path from the compiled program to the simulator.
+func (m *Machine) Runner() *sim.Runner {
+	m.runnerOnce.Do(func() { m.runner = sim.NewRunner(m.Res.Program, m.Cfg) })
+	return m.runner
+}
+
+// NewJob builds the job of one execution through the machine's layout
+// (Layout.Job).
+func (m *Machine) NewJob(maskSeed int64, vals ...[]uint32) (job sim.Job, err error) {
+	if err = m.layoutErr; err == nil {
+		job, err = m.layout.Job(maskSeed, vals...)
+	}
+	return job, err
+}
+
+// EntryPC returns the first-instruction address of function fn.
+func (m *Machine) EntryPC(fn string) (uint32, error) {
+	addr, ok := m.Res.Program.Symbols["f_"+fn]
+	if !ok {
+		return 0, fmt.Errorf("no function %q in symbol table", fn)
+	}
+	return addr, nil
+}
+
+// DeclassRegion returns the text range [lo, hi) that declassifies the
+// output: the declassifying function, up to main. Taint leaks there are
+// public by design; a sound policy leaks nowhere else.
+func (m *Machine) DeclassRegion() (lo, hi uint32) {
+	syms := m.Res.Program.Symbols
+	return syms["f_"+m.Declass], syms["f_main"]
+}
+
+// MaskedRegionEnd returns the cycle at which the declassifying function
+// first reaches EX on tr: the end of the region that must be energy-flat
+// across secrets, or tr.Len() when the trace stops before it.
+func (m *Machine) MaskedRegionEnd(tr *trace.Trace) (int, error) {
+	entry, err := m.EntryPC(m.Declass)
+	if err != nil {
+		return 0, err
+	}
+	for i, pc := range tr.PCs {
+		if pc == entry {
+			return i, nil
+		}
+	}
+	return tr.Len(), nil
+}
 
 // Port is a global a job pokes or reads and the field ("secret") naming it.
 type Port struct{ Field, Global string }

@@ -9,7 +9,6 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"desmask/internal/compiler"
 	"desmask/internal/cpu"
@@ -34,46 +33,31 @@ type Kernel struct {
 	OutputLen    int
 }
 
-// Machine is a compiled kernel ready to run.
+// Machine is a compiled kernel ready to run. Its secret is
+// Kernel.SecretGlobal, and emit_output declassifies the output.
 type Machine struct {
+	harness.Machine
 	Kernel Kernel
-	Res    *compiler.Result
-	Cfg    energy.Config
-
-	runnerOnce sync.Once
-	runner     *sim.Runner
-	layout     *harness.Layout
-	layoutErr  error // reported by every job, so Build itself never fails on it
 }
 
 // Build compiles the kernel under the given options and energy
-// configuration.
+// configuration. A kernel whose inputs or output overrun their globals
+// still builds; every job it is asked for then fails.
 func Build(k Kernel, opt compiler.Options, cfg energy.Config) (*Machine, error) {
 	res, err := compiler.CompileWithOptions(k.Source, opt)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", k.Name, err)
 	}
-	layout, err := harness.Resolve(res,
+	m := &Machine{Kernel: k}
+	m.Init(res, cfg, "emit_output",
 		[]harness.Port{{Field: "secret", Global: k.SecretGlobal}, {Field: "public", Global: k.PublicGlobal}},
 		harness.Port{Field: "output_len", Global: k.OutputGlobal}, k.OutputLen)
-	return &Machine{Kernel: k, Res: res, Cfg: cfg, layout: layout, layoutErr: err}, nil
+	return m, nil
 }
 
 // BuildSimple compiles with a bare policy and the default energy model.
 func BuildSimple(k Kernel, policy compiler.Policy) (*Machine, error) {
 	return Build(k, compiler.Options{Policy: policy}, energy.DefaultConfig())
-}
-
-// MaxCycles bounds one kernel run.
-const MaxCycles = 4_000_000
-
-// Runner returns the kernel's simulation session (created on first use).
-func (m *Machine) Runner() *sim.Runner {
-	m.runnerOnce.Do(func() {
-		m.runner = sim.NewRunner(m.Res.Program, m.Cfg)
-		m.runner.MaxCycles = MaxCycles
-	})
-	return m.runner
 }
 
 // Job assembles the sim.Job of one kernel run: secret then public inputs
@@ -90,11 +74,7 @@ func (m *Machine) Job(secret, public []uint32, capture bool) (sim.Job, error) {
 // output array. An input or OutputLen past its global fails with a
 // *harness.LengthError naming "secret", "public" or "output_len".
 func (m *Machine) JobSeeded(secret, public []uint32, maskSeed int64, capture bool) (sim.Job, error) {
-	err := m.layoutErr
-	var job sim.Job
-	if err == nil {
-		job, err = m.layout.Job(maskSeed, secret, public)
-	}
+	job, err := m.NewJob(maskSeed, secret, public)
 	if err != nil {
 		return sim.Job{}, fmt.Errorf("kernels: %s: %w", m.Kernel.Name, err)
 	}
@@ -110,7 +90,7 @@ func (m *Machine) output(res sim.Result) ([]uint32, sim.Stats, error) {
 		return nil, res.Stats, fmt.Errorf("kernels: %s: %w", m.Kernel.Name, res.Err)
 	}
 	if !res.Done {
-		return nil, res.Stats, fmt.Errorf("kernels: %s: %w", m.Kernel.Name, &cpu.CycleLimitError{Limit: MaxCycles})
+		return nil, res.Stats, fmt.Errorf("kernels: %s: %w", m.Kernel.Name, &cpu.CycleLimitError{Limit: sim.DefaultMaxCycles})
 	}
 	return res.Mem[0], res.Stats, nil
 }
@@ -192,28 +172,4 @@ func ByName(name string) (Kernel, bool) {
 		return SHA1(), true
 	}
 	return Kernel{}, false
-}
-
-// DeclassRegion returns the text range [lo, hi) that declassifies the
-// kernel's output: emit_output, up to main. Taint leaks there are public by
-// design; a sound policy leaks nowhere else.
-func (m *Machine) DeclassRegion() (lo, hi uint32) {
-	syms := m.Res.Program.Symbols
-	return syms["f_emit_output"], syms["f_main"]
-}
-
-// MaskedRegionEnd returns the cycle at which the kernel's output emission
-// begins — the end of the region that must be energy-flat across secrets.
-// It is located as the first EX occurrence of the output function's entry.
-func (m *Machine) MaskedRegionEnd(tr *trace.Trace) (int, error) {
-	entry, ok := m.Res.Program.Symbols["f_emit_output"]
-	if !ok {
-		return 0, fmt.Errorf("kernels: %s: kernel lacks an emit_output function", m.Kernel.Name)
-	}
-	for i, pc := range tr.PCs {
-		if pc == entry {
-			return i, nil
-		}
-	}
-	return tr.Len(), nil
 }

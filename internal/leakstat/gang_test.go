@@ -158,7 +158,7 @@ func TestAssessDefaultGangMatchesOneLane(t *testing.T) {
 					t.Fatal(err)
 				}
 				secret, public, mask := kernels.TVLAInputs(k)
-				reg, err := KernelMaskedWindowContext(context.Background(), m, secret, public, 0)
+				reg, err := kernelRegion(context.Background(), m, secret, public, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

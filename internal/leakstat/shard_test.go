@@ -348,7 +348,7 @@ func TestWindowContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DESMaskedWindowContext(ctx, m, 1, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, err := desRegion(ctx, m, 1, 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled window probe returned %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"desmask/internal/desprog"
+	"desmask/internal/harness"
 	"desmask/internal/kernels"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
@@ -149,44 +150,38 @@ func probeTrace(ctx context.Context, r *sim.Runner, job sim.Job, maxCycles uint6
 	return results[0].Trace, nil
 }
 
-// DESMaskedWindow locates the DES assessment window [0, entry of the output
-// permutation): everything the paper requires to be energy-flat across keys.
-// The output permutation itself declassifies the ciphertext and is insecure
-// by design. A maxCycles > 0 budget clamps the window so budget-bounded
-// assessment runs still cover it.
-func DESMaskedWindow(m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
-	reg, err := DESMaskedWindowContext(context.Background(), m, key, plaintext, maxCycles)
-	return reg.Window, err
-}
-
-// DESMaskedWindowContext is DESMaskedWindow under a cancellable context,
-// reporting whether the budget cut the masked region short. The probe run
-// stops at the budget (probeTrace).
-func DESMaskedWindowContext(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (Region, error) {
-	entry, err := m.EntryPC(desprog.FuncOutputPermutation)
-	if err != nil {
-		return Region{}, err
-	}
-	job, err := m.EncryptJob(key, plaintext, 0, true)
-	if err != nil {
-		return Region{}, err
-	}
+// MaskedWindowContext locates the masked region of m, [0, entry of its
+// declassifying function), on a probe run of job: everything that must be
+// energy-flat across secrets. The declassifying function itself (the DES
+// output permutation, a kernel's emit_output) reveals only the output and
+// is insecure by design. A maxCycles > 0 budget clamps the window so
+// budget-bounded assessment runs still cover it, and the report says
+// whether it cut the region short; the probe run stops at the budget
+// (probeTrace).
+func MaskedWindowContext(ctx context.Context, m *harness.Machine, job sim.Job, maxCycles uint64) (Region, error) {
 	tr, err := probeTrace(ctx, m.Runner(), job, maxCycles)
 	if err != nil {
 		return Region{}, err
 	}
-	end := tr.Len()
-	for i, pc := range tr.PCs {
-		if pc == entry {
-			end = i
-			break
-		}
+	end, err := m.MaskedRegionEnd(tr)
+	if err != nil {
+		return Region{}, fmt.Errorf("leakstat: %w", err)
 	}
-	reg := budgetRegion(trace.Window{Start: 0, End: end}, maxCycles)
-	if reg.Len() <= 0 {
-		return Region{}, fmt.Errorf("leakstat: empty DES masked window")
+	if end <= 0 {
+		return Region{}, fmt.Errorf("leakstat: empty masked region")
 	}
-	return reg, nil
+	return budgetRegion(trace.Window{Start: 0, End: end}, maxCycles), nil
+}
+
+// DESMaskedWindow is MaskedWindowContext on the DES encryption of
+// (key, plaintext), without a context or the truncation report.
+func DESMaskedWindow(m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (trace.Window, error) {
+	job, err := m.EncryptJob(key, plaintext, 0, true)
+	if err != nil {
+		return trace.Window{}, err
+	}
+	reg, err := MaskedWindowContext(context.Background(), &m.Machine, job, maxCycles)
+	return reg.Window, err
 }
 
 // DESRound1WindowContext locates round 1 of the DES encryption — the window
@@ -215,28 +210,4 @@ func DESRound1WindowContext(ctx context.Context, m *desprog.Machine, key, plaint
 		return Region{}, fmt.Errorf("leakstat: round-1 window outside the %d-cycle budget", maxCycles)
 	}
 	return reg, nil
-}
-
-// KernelMaskedWindowContext locates a kernel's assessment window [0, start
-// of output emission) under a cancellable context and a cycle budget: a
-// maxCycles > 0 budget clamps the window, as for DES, and the report says
-// whether it cut the masked region short. The probe run stops at the budget
-// (probeTrace); without one the probe runs to halt.
-func KernelMaskedWindowContext(ctx context.Context, m *kernels.Machine, secret, public []uint32, maxCycles uint64) (Region, error) {
-	job, err := m.Job(secret, public, true)
-	if err != nil {
-		return Region{}, err
-	}
-	tr, err := probeTrace(ctx, m.Runner(), job, maxCycles)
-	if err != nil {
-		return Region{}, err
-	}
-	end, err := m.MaskedRegionEnd(tr)
-	if err != nil {
-		return Region{}, err
-	}
-	if end <= 0 {
-		return Region{}, fmt.Errorf("leakstat: %s: empty masked region", m.Kernel.Name)
-	}
-	return budgetRegion(trace.Window{Start: 0, End: end}, maxCycles), nil
 }

@@ -39,6 +39,26 @@ func probeBudgets(edges ...int) []uint64 {
 	return budgets
 }
 
+// desRegion locates the masked region on the DES encryption of
+// (key, plaintext).
+func desRegion(ctx context.Context, m *desprog.Machine, key, plaintext uint64, maxCycles uint64) (Region, error) {
+	job, err := m.EncryptJob(key, plaintext, 0, true)
+	if err != nil {
+		return Region{}, err
+	}
+	return MaskedWindowContext(ctx, &m.Machine, job, maxCycles)
+}
+
+// kernelRegion locates the masked region on a kernel run of (secret,
+// public).
+func kernelRegion(ctx context.Context, m *kernels.Machine, secret, public []uint32, maxCycles uint64) (Region, error) {
+	job, err := m.Job(secret, public, true)
+	if err != nil {
+		return Region{}, err
+	}
+	return MaskedWindowContext(ctx, &m.Machine, job, maxCycles)
+}
+
 func checkRegion(t *testing.T, label string, got Region, err error, want Region, ok bool) {
 	t.Helper()
 	if !ok {
@@ -96,7 +116,7 @@ func TestBoundedProbeMatchesFullProbe(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, b := range probeBudgets(masked.End, round1.Start, round1.End) {
-					got, err := DESMaskedWindowContext(ctx, m, testKey, testPlain, b)
+					got, err := desRegion(ctx, m, testKey, testPlain, b)
 					want, ok := fullProbeRegion(masked, b)
 					checkRegion(t, fmt.Sprintf("masked window, budget %d", b), got, err, want, ok)
 
@@ -124,7 +144,7 @@ func TestBoundedProbeMatchesFullProbe(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, b := range probeBudgets(end) {
-						got, err := KernelMaskedWindowContext(ctx, m, secret, public, b)
+						got, err := kernelRegion(ctx, m, secret, public, b)
 						want, ok := fullProbeRegion(trace.Window{Start: 0, End: end}, b)
 						checkRegion(t, fmt.Sprintf("masked window, budget %d", b), got, err, want, ok)
 					}
@@ -140,25 +160,87 @@ func TestBoundedProbeMatchesFullProbe(t *testing.T) {
 func TestWindowTruncationReported(t *testing.T) {
 	m := desMachine(t, compiler.PolicyNone)
 	ctx := context.Background()
-	reg, err := DESMaskedWindowContext(ctx, m, testKey, testPlain, 300)
+	reg, err := desRegion(ctx, m, testKey, testPlain, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (Region{Window: trace.Window{Start: 0, End: 300}, Truncated: true}); reg != want {
 		t.Fatalf("budget 300: got %+v, want %+v", reg, want)
 	}
-	whole, err := DESMaskedWindowContext(ctx, m, testKey, testPlain, 0)
+	whole, err := desRegion(ctx, m, testKey, testPlain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if whole.Truncated {
 		t.Fatalf("no budget: %+v reported truncated", whole)
 	}
-	reg, err = DESMaskedWindowContext(ctx, m, testKey, testPlain, uint64(whole.End))
+	reg, err = desRegion(ctx, m, testKey, testPlain, uint64(whole.End))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reg != whole {
 		t.Fatalf("budget at the region end: got %+v, want the whole region %+v", reg, whole)
+	}
+}
+
+// TestMaskedRegionEnds pins the masked region the shared locator finds on
+// DES (three policies, both ISAs) and on the kernels, without a budget and
+// under a 2,000-cycle budget that cuts every region short.
+func TestMaskedRegionEnds(t *testing.T) {
+	const budget = 2000
+	ctx := context.Background()
+	for _, tc := range []struct {
+		workload, isa string
+		policy        compiler.Policy
+		end           int
+	}{
+		{"des", "pisa", compiler.PolicyNone, 180686},
+		{"des", "pisa", compiler.PolicySelective, 180686},
+		{"des", "pisa", compiler.PolicyBooleanMask, 267762},
+		{"des", "rv32", compiler.PolicyNone, 180630},
+		{"des", "rv32", compiler.PolicySelective, 180630},
+		{"des", "rv32", compiler.PolicyBooleanMask, 267706},
+		{"tea", "pisa", compiler.PolicySelective, 2634},
+		{"tea", "pisa", compiler.PolicyBooleanMask, 5798},
+		{"aes128", "pisa", compiler.PolicySelective, 38506},
+		{"aes128", "pisa", compiler.PolicyBooleanMask, 60510},
+		{"sha1", "pisa", compiler.PolicySelective, 17307},
+		{"sha1", "pisa", compiler.PolicyBooleanMask, 29356},
+	} {
+		t.Run(tc.workload+"/"+tc.isa+"/"+tc.policy.String(), func(t *testing.T) {
+			target, _ := isa.TargetByName(tc.isa)
+			opt := compiler.Options{Policy: tc.policy, Target: target}
+			var locate func(maxCycles uint64) (Region, error)
+			if tc.workload == "des" {
+				m, err := desprog.NewFull(opt, energy.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				locate = func(b uint64) (Region, error) { return desRegion(ctx, m, testKey, testPlain, b) }
+			} else {
+				k, _ := kernels.ByName(tc.workload)
+				m, err := kernels.Build(k, opt, energy.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				secret, public, _ := kernels.TVLAInputs(k)
+				locate = func(b uint64) (Region, error) { return kernelRegion(ctx, m, secret, public, b) }
+			}
+			for _, want := range []struct {
+				budget uint64
+				reg    Region
+			}{
+				{0, Region{Window: trace.Window{End: tc.end}}},
+				{budget, Region{Window: trace.Window{End: budget}, Truncated: true}},
+			} {
+				got, err := locate(want.budget)
+				if err != nil {
+					t.Fatalf("budget %d: %v", want.budget, err)
+				}
+				if got != want.reg {
+					t.Errorf("budget %d: got %+v, want %+v", want.budget, got, want.reg)
+				}
+			}
+		})
 	}
 }

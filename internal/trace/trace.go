@@ -125,25 +125,6 @@ func (w Window) Clamp(n int) Window {
 	return w
 }
 
-// FindWindow locates the cycle window during which execution stayed within
-// the program region [loPC, hiPC): the first and last+1 cycles whose EX PC
-// falls inside. ok is false when the region was never executed.
-func (t *Trace) FindWindow(loPC, hiPC uint32) (Window, bool) {
-	start, end := -1, -1
-	for i, pc := range t.PCs {
-		if pc != NoPC && pc >= loPC && pc < hiPC {
-			if start < 0 {
-				start = i
-			}
-			end = i + 1
-		}
-	}
-	if start < 0 {
-		return Window{}, false
-	}
-	return Window{start, end}, true
-}
-
 // Slice returns the energy samples of a window.
 func (t *Trace) Slice(w Window) []float64 {
 	if w.Start < 0 || w.End > len(t.Totals) || w.Start > w.End {

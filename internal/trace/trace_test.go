@@ -58,24 +58,15 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFindWindow(t *testing.T) {
-	tr := Trace{
-		Totals: []float64{1, 2, 3, 4, 5, 6},
-		PCs:    []uint32{0x00, 0x10, 0x14, NoPC, 0x18, 0x40},
-	}
-	w, ok := tr.FindWindow(0x10, 0x20)
-	if !ok || w.Start != 1 || w.End != 5 {
-		t.Fatalf("window = %+v, %v", w, ok)
-	}
+func TestSlice(t *testing.T) {
+	tr := Trace{Totals: []float64{1, 2, 3, 4, 5, 6}}
+	w := Window{1, 5}
 	if w.Len() != 4 {
 		t.Errorf("len = %d", w.Len())
 	}
 	got := tr.Slice(w)
 	if len(got) != 4 || got[0] != 2 || got[3] != 5 {
 		t.Errorf("slice = %v", got)
-	}
-	if _, ok := tr.FindWindow(0x1000, 0x2000); ok {
-		t.Error("found window for unexecuted region")
 	}
 	if tr.Slice(Window{-1, 2}) != nil || tr.Slice(Window{4, 2}) != nil {
 		t.Error("invalid windows should slice to nil")

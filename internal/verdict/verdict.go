@@ -16,11 +16,11 @@ import (
 	"sync"
 	"time"
 
-	"desmask/internal/asm"
 	"desmask/internal/cliconf"
 	"desmask/internal/compiler"
 	"desmask/internal/desprog"
 	"desmask/internal/energy"
+	"desmask/internal/harness"
 	"desmask/internal/kernels"
 	"desmask/internal/leakcheck"
 	"desmask/internal/leakstat"
@@ -64,6 +64,8 @@ type Workload struct {
 	// other program. Exactly one is set.
 	DES    *desprog.Machine
 	Kernel *kernels.Machine
+	// machine is the compiled program DES or Kernel embeds.
+	machine *harness.Machine
 	// Source draws the fixed-vs-random population.
 	Source leakstat.Source
 	// Region is the assessment window and whether the cycle budget cut the
@@ -116,50 +118,56 @@ func Build(ctx context.Context, req Request, cache *Cache) (*Workload, error) {
 			return nil, err
 		}
 		start := time.Now()
-		var (
-			m   interface{ Runner() *sim.Runner }
-			err error
-		)
+		p := &program{}
+		var err error
 		if k.Name == "" {
-			m, err = desprog.NewFull(opt, energy.DefaultConfig())
-		} else {
-			m, err = kernels.Build(k, opt, energy.DefaultConfig())
+			if p.des, err = desprog.NewFull(opt, energy.DefaultConfig()); err == nil {
+				p.m = &p.des.Machine
+			}
+		} else if p.kernel, err = kernels.Build(k, opt, energy.DefaultConfig()); err == nil {
+			p.m = &p.kernel.Machine
 		}
 		if err != nil {
 			return nil, err
 		}
 		w.Compile = time.Since(start)
 		if cache != nil && cache.gang != nil {
-			m.Runner().GangCounts = cache.gang
+			p.m.Runner().GangCounts = cache.gang
 		}
-		return &program{m: m}, nil
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	w.CacheHit = hit
 	prog := v.(*program)
+	w.DES, w.Kernel, w.machine = prog.des, prog.kernel, prog.m
 
 	winStart := time.Now()
 	rk := regionKey{maxCycles: r.MaxCycles}
+	// masked locates the masked region on a probe run of the fixed
+	// population's job.
+	masked := func(job sim.Job, err error) (leakstat.Region, error) {
+		if err != nil {
+			return leakstat.Region{}, err
+		}
+		return leakstat.MaskedWindowContext(ctx, w.machine, job, r.MaxCycles)
+	}
 	var probe func() (leakstat.Region, error)
-	switch m := prog.m.(type) {
-	case *desprog.Machine:
-		w.DES, w.Vary, w.secretWords = m, r.Vary, 64
+	if m := w.DES; m != nil {
+		w.Vary, w.secretWords = r.Vary, 64
 		rk.vary, rk.key, rk.plaintext = r.Vary, r.KeyV, r.PlaintextV
+		source := leakstat.DESKeySource
+		probe = func() (leakstat.Region, error) { return masked(m.EncryptJob(r.KeyV, r.PlaintextV, 0, true)) }
 		if r.Vary == "plaintext" {
-			w.Source = leakstat.DESPlaintextSource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
+			source = leakstat.DESPlaintextSource
 			probe = func() (leakstat.Region, error) {
 				return leakstat.DESRound1WindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
 			}
-		} else {
-			w.Source = leakstat.DESKeySource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			probe = func() (leakstat.Region, error) {
-				return leakstat.DESMaskedWindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
-			}
 		}
-	case *kernels.Machine:
-		w.Kernel = m
+		w.Source = source(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
+	} else {
+		m := w.Kernel
 		var (
 			secret, public []uint32
 			mask           = uint32(0xffffffff)
@@ -172,9 +180,7 @@ func Build(ctx context.Context, req Request, cache *Cache) (*Workload, error) {
 		w.secretWords = len(secret)
 		rk.inputs = fmt.Sprint(secret, public)
 		w.Source = leakstat.KernelSecretSource(m, secret, public, mask, r.Seed, r.MaxCycles)
-		probe = func() (leakstat.Region, error) {
-			return leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
-		}
+		probe = func() (leakstat.Region, error) { return masked(m.Job(secret, public, true)) }
 	}
 	if w.Region, err = prog.region(rk, probe); err != nil {
 		return nil, err
@@ -192,7 +198,10 @@ const maxRegions = 8
 // population's fixed inputs and the cycle budget, so a repeat request
 // reuses it instead of running the traced probe again.
 type program struct {
-	m interface{ Runner() *sim.Runner }
+	// m is the compiled program of whichever of des and kernel is set.
+	m      *harness.Machine
+	des    *desprog.Machine
+	kernel *kernels.Machine
 
 	mu      sync.Mutex
 	regions map[regionKey]leakstat.Region
@@ -251,25 +260,15 @@ func cacheKeyFor(req Request) cacheKey {
 // declassification: instruction addresses where an insecure operation
 // processed secret-derived data. A sound policy has none.
 func (w *Workload) TaintLeakSites() (int, error) {
-	var (
-		prog   *asm.Program
-		global string
-		lo, hi uint32
-	)
-	if w.DES != nil {
-		prog, global = w.DES.Res.Program, "key"
-		lo, hi = w.DES.DeclassRegion()
-	} else {
-		prog, global = w.Kernel.Res.Program, w.Kernel.Kernel.SecretGlobal
-		lo, hi = w.Kernel.DeclassRegion()
-	}
-	addr, ok := prog.Symbols[compiler.GlobalLabel(global)]
+	m := w.machine
+	addr, ok := m.Res.Program.Symbols[compiler.GlobalLabel(m.Secret)]
 	if !ok {
-		return 0, fmt.Errorf("no %s global", global)
+		return 0, fmt.Errorf("no %s global", m.Secret)
 	}
-	rep, err := leakcheck.CheckProgram(prog, []leakcheck.TaintRange{{Addr: addr, Words: w.secretWords}})
+	rep, err := leakcheck.CheckProgram(m.Res.Program, []leakcheck.TaintRange{{Addr: addr, Words: w.secretWords}})
 	if err != nil {
 		return 0, err
 	}
+	lo, hi := m.DeclassRegion()
 	return len(rep.LeaksOutsideRegion(lo, hi)), nil
 }

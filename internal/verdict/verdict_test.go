@@ -34,7 +34,11 @@ func reference(t *testing.T, req Request) (*leakstat.Report, leakstat.Region) {
 			reg, err = leakstat.DESRound1WindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
 		} else {
 			src = leakstat.DESKeySource(m, r.KeyV, r.PlaintextV, r.Seed, r.MaxCycles)
-			reg, err = leakstat.DESMaskedWindowContext(ctx, m, r.KeyV, r.PlaintextV, r.MaxCycles)
+			job, jerr := m.EncryptJob(r.KeyV, r.PlaintextV, 0, true)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			reg, err = leakstat.MaskedWindowContext(ctx, &m.Machine, job, r.MaxCycles)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +56,11 @@ func reference(t *testing.T, req Request) (*leakstat.Report, leakstat.Region) {
 			t.Fatal(err)
 		}
 		src = leakstat.KernelSecretSource(m, secret, public, mask, r.Seed, r.MaxCycles)
-		reg, err = leakstat.KernelMaskedWindowContext(ctx, m, secret, public, r.MaxCycles)
+		job, err := m.Job(secret, public, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err = leakstat.MaskedWindowContext(ctx, &m.Machine, job, r.MaxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
