@@ -13,15 +13,24 @@ import (
 	"strings"
 
 	"desmask/internal/compiler"
-	"desmask/internal/energy"
+	"desmask/internal/kernels"
 	"desmask/internal/sim"
 )
 
-const src = `
+// mac is the toy keyed checksum as a kernel: its secret is key, its public
+// input msg, and emit_output declassifies the tag.
+var mac = kernels.Kernel{
+	Name:         "mac",
+	SecretGlobal: "key",
+	PublicGlobal: "msg",
+	OutputGlobal: "tag",
+	OutputLen:    1,
+	Source: `
 // A toy keyed checksum: secret key, public message, public-by-design tag.
 secure int key[4];
 int msg[16];
 int tag;
+int acc;
 
 int mix(int acc, secure int k, int m) {
 	int t;
@@ -30,46 +39,34 @@ int mix(int acc, secure int k, int m) {
 	return t;
 }
 
+// The tag is emitted to the outside world anyway.
+void emit_output() {
+	tag = public(acc);
+}
+
 void main() {
 	int i;
-	int acc;
 	acc = 0;
 	for (i = 0; i < 16; i = i + 1) {
 		acc = mix(acc, key[i & 3], msg[i]);
 	}
-	// The tag is emitted to the outside world anyway.
-	tag = public(acc);
+	emit_output();
 }
-`
-
-// job assembles one run of the MAC kernel as a batch job: key and message
-// poked in fixed order, the tag read back, the full trace captured.
-func job(res *compiler.Result, keyVals [4]uint32) sim.Job {
-	j := sim.Job{MaxCycles: 1_000_000, Trace: true}
-	keyAddr := res.Program.Symbols[compiler.GlobalLabel("key")]
-	msgAddr := res.Program.Symbols[compiler.GlobalLabel("msg")]
-	for i, v := range keyVals {
-		j.Writes = append(j.Writes, sim.Write{Addr: keyAddr + uint32(4*i), Val: v})
-	}
-	for i := 0; i < 16; i++ {
-		j.Writes = append(j.Writes, sim.Write{Addr: msgAddr + uint32(4*i), Val: uint32(0x1000 + i)})
-	}
-	j.Reads = []sim.Read{{Addr: res.Program.Symbols[compiler.GlobalLabel("tag")], Words: 1}}
-	return j
+`,
 }
 
 func main() {
-	res, err := compiler.Compile(src, compiler.PolicySelective)
+	m, err := kernels.BuildSimple(mac, compiler.PolicySelective)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("=== forward slice ===")
-	fmt.Print(res.Report.String())
+	fmt.Print(m.Res.Report.String())
 
 	// Show a few of the secured instructions the compiler emitted.
 	fmt.Println("\n=== secured instructions (excerpt) ===")
 	shown := 0
-	for _, line := range strings.Split(res.Asm, "\n") {
+	for _, line := range strings.Split(m.Res.Asm, "\n") {
 		if strings.Contains(line, ".s ") && shown < 8 {
 			fmt.Println(line)
 			shown++
@@ -81,41 +78,45 @@ func main() {
 	// differs — the tag is public output, exactly like the paper's output
 	// inverse permutation. The two runs go through one simulation session as
 	// a parallel batch.
-	runner := sim.NewRunner(res.Program, energy.DefaultConfig())
-	results, err := runner.RunBatch([]sim.Job{
-		job(res, [4]uint32{0x00000000, 0x11111111, 0x22222222, 0x33333333}),
-		job(res, [4]uint32{0xdeadbeef, 0xcafef00d, 0x8badf00d, 0xfeedface}),
-	}, sim.Options{})
+	msg := make([]uint32, 16)
+	for i := range msg {
+		msg[i] = uint32(0x1000 + i)
+	}
+	var jobs []sim.Job
+	for _, key := range [][]uint32{
+		{0x00000000, 0x11111111, 0x22222222, 0x33333333},
+		{0xdeadbeef, 0xcafef00d, 0x8badf00d, 0xfeedface},
+	} {
+		job, err := m.Job(key, msg, true)
+		if err != nil {
+			log.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	results, err := m.Runner().RunBatch(jobs, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	t1, t2 := results[0].Trace.Totals, results[1].Trace.Totals
-	pcs := results[0].Trace.PCs
 	tag1, tag2 := results[0].Mem[0][0], results[1].Mem[0][0]
 	fmt.Printf("\ntags: %08x vs %08x (different, as they should be)\n", tag1, tag2)
 
-	// The masked region ends when the last mix() call returns; everything
-	// after that is the public-output emission.
-	mixStart := res.Program.Symbols["f_mix"]
-	mixEnd := res.Program.Symbols["f_mix_ret"] + 12 // through the jr
-	lastMix := 0
-	for i, pc := range pcs {
-		if pc >= mixStart && pc < mixEnd {
-			lastMix = i
-		}
+	// The masked region ends where emit_output starts; everything from
+	// there on is the public-output emission.
+	end, err := m.MaskedRegionEnd(results[0].Trace)
+	if err != nil {
+		log.Fatal(err)
 	}
 	var maskedDiff, tailDiff float64
 	for i := range t1 {
 		d := math.Abs(t1[i] - t2[i])
-		if i <= lastMix {
-			if d > maskedDiff {
-				maskedDiff = d
-			}
-		} else if d > tailDiff {
-			tailDiff = d
+		if i < end {
+			maskedDiff = max(maskedDiff, d)
+		} else {
+			tailDiff = max(tailDiff, d)
 		}
 	}
-	fmt.Printf("cycles: %d (masked region: 0..%d)\n", len(t1), lastMix)
+	fmt.Printf("cycles: %d (masked region: 0..%d)\n", len(t1), end-1)
 	fmt.Printf("max energy difference, secret-processing region: %.6f pJ\n", maskedDiff)
 	fmt.Printf("max energy difference, public-tag emission:      %.2f pJ (reveals only the tag)\n", tailDiff)
 	if maskedDiff < 1e-9 {

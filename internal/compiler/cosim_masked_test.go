@@ -7,6 +7,7 @@
 package compiler_test
 
 import (
+	"slices"
 	"testing"
 
 	"desmask/internal/compiler"
@@ -174,30 +175,25 @@ func TestMaskSeedInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := []desprog.Input{{Key: key, Plaintext: plain}}
-			tr1, c1, err := m.TraceBatchSeeded(in, 1, sim.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr2, c2, err := m.TraceBatchSeeded(in, 2, sim.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c1[0] != c2[0] {
-				t.Fatalf("ciphertext depends on mask seed: %#016x vs %#016x", c1[0], c2[0])
-			}
-			same := tr1[0].Len() == tr2[0].Len()
-			if same {
-				diff := false
-				for i, e := range tr1[0].Totals {
-					if e != tr2[0].Totals[i] {
-						diff = true
-						break
-					}
+			var jobs []sim.Job
+			for _, seed := range []int64{1, 2} {
+				job, err := m.EncryptJobSeeded(key, plain, sim.DeriveSeed(seed, 0), 0, true)
+				if err != nil {
+					t.Fatal(err)
 				}
-				same = !diff
+				jobs = append(jobs, job)
 			}
-			if same {
+			res, err := m.Runner().RunBatch(jobs, sim.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res[0].Done || !res[1].Done {
+				t.Fatal("encryption did not halt")
+			}
+			if !slices.Equal(res[0].Mem[0], res[1].Mem[0]) {
+				t.Fatalf("ciphertext depends on mask seed: %v vs %v", res[0].Mem[0], res[1].Mem[0])
+			}
+			if slices.Equal(res[0].Trace.Totals, res[1].Trace.Totals) {
 				t.Fatal("energy trace is identical across mask seeds — protection randomness is dead")
 			}
 		})

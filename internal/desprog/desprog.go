@@ -343,55 +343,10 @@ func (m *Machine) Encrypt(key, plaintext uint64, maxCycles uint64) (cipherText u
 	return gatherBits(res.Mem[0]), res.Stats, res.Done, nil
 }
 
-// EncryptBatch runs one encryption per plaintext under the same key across
-// the session's worker pool, returning results in plaintext order. capture
-// records each run's full per-cycle trace. maxCycles == 0 uses
-// sim.DefaultMaxCycles.
-func (m *Machine) EncryptBatch(key uint64, plaintexts []uint64, maxCycles uint64, capture bool, opts sim.Options) ([]sim.Result, error) {
-	jobs := make([]sim.Job, len(plaintexts))
-	for i, pt := range plaintexts {
-		job, err := m.EncryptJobSeeded(key, pt, sim.DeriveSeed(0, i), maxCycles, capture)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = job
-	}
-	return m.Runner().RunBatch(jobs, opts)
-}
-
 // Input is one (key, plaintext) pair of a trace batch.
 type Input struct {
 	Key       uint64
 	Plaintext uint64
-}
-
-// TraceBatchSeeded captures full per-cycle traces for several inputs in
-// parallel, returning traces and ciphertexts in input order. Trace i runs
-// with per-execution masks derived from (maskSeed, i), so every trace of
-// the batch draws an independent fresh-mask stream.
-func (m *Machine) TraceBatchSeeded(inputs []Input, maskSeed int64, opts sim.Options) ([]*trace.Trace, []uint64, error) {
-	jobs := make([]sim.Job, len(inputs))
-	for i, in := range inputs {
-		job, err := m.EncryptJobSeeded(in.Key, in.Plaintext, sim.DeriveSeed(maskSeed, i), 0, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs[i] = job
-	}
-	results, err := m.Runner().RunBatch(jobs, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	traces := make([]*trace.Trace, len(results))
-	ciphers := make([]uint64, len(results))
-	for i, r := range results {
-		if !r.Done {
-			return nil, nil, fmt.Errorf("desprog: encryption %d exceeded %d cycles", i, uint64(sim.DefaultMaxCycles))
-		}
-		traces[i] = r.Trace
-		ciphers[i] = gatherBits(r.Mem[0])
-	}
-	return traces, ciphers, nil
 }
 
 // CipherBatch encrypts several (key, plaintext) pairs in parallel without

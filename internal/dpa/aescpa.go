@@ -7,7 +7,6 @@ import (
 
 	"desmask/internal/aes"
 	"desmask/internal/kernels"
-	"desmask/internal/leakstat"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -30,7 +29,9 @@ type AESTraceSet struct {
 }
 
 // CollectAES gathers n AES-kernel energy traces under one key with random
-// plaintext bytes. The runs fan out across the kernel's simulation session
+// plaintext bytes. The kernel runs to halt and each trace keeps its first
+// maxCycles cycles (all of them when maxCycles <= 0); metering stops where
+// the trace does. The runs fan out across the kernel's simulation session
 // in gangs of leakstat.DefaultGang lanes; the plaintexts are drawn up front
 // from the seeded generator, so the trace set is byte-identical regardless
 // of worker count.
@@ -40,40 +41,24 @@ func CollectAES(m *kernels.Machine, key []uint32, n int, seed int64, maxCycles i
 	}
 	rng := rand.New(rand.NewSource(seed))
 	plaintexts := make([][]uint32, n)
+	jobs := make([]sim.Job, n)
 	for i := range plaintexts {
 		pt := make([]uint32, 16)
 		for j := range pt {
 			pt[j] = uint32(rng.Intn(256))
 		}
 		plaintexts[i] = pt
+		job, err := m.JobSeeded(key, pt, sim.DeriveSeed(0, i), false)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = job
 	}
-	// The kernel runs to halt; truncate afterwards — AES is short enough
-	// (~42k cycles) that full runs stay cheap.
-	results, err := m.RunBatch(key, plaintexts, true, sim.Options{GangWidth: leakstat.DefaultGang})
+	ts, err := acquire(m.Runner(), jobs, maxCycles, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	ts := &AESTraceSet{Plaintexts: plaintexts}
-	minLen := -1
-	for _, r := range results {
-		totals := r.Trace.Totals
-		ts.OrigLens = append(ts.OrigLens, len(totals))
-		if maxCycles > 0 && len(totals) > maxCycles {
-			totals = totals[:maxCycles]
-		}
-		ts.Traces = append(ts.Traces, totals)
-		if minLen < 0 || len(totals) < minLen {
-			minLen = len(totals)
-		}
-	}
-	for i := range ts.Traces {
-		if len(ts.Traces[i]) > minLen {
-			ts.Traces[i] = ts.Traces[i][:minLen]
-			ts.Truncated = true
-		}
-	}
-	ts.Window = trace.Window{Start: 0, End: minLen}
-	return ts, nil
+	return &AESTraceSet{Plaintexts: plaintexts, Traces: ts.Traces, Window: ts.Window, OrigLens: ts.OrigLens, Truncated: ts.Truncated}, nil
 }
 
 // AESCPAByte attacks one key byte (0-15) over all 256 guesses, scoring each
@@ -84,6 +69,7 @@ func AESCPAByte(ts *AESTraceSet, byteIdx int) (best, runnerUp uint32, bestPeak, 
 		return 0, 0, 0, 0
 	}
 	t := newClassTable(ts.Traces, ts.Window, 256, StatCPA)
+	defer t.release()
 	t.fill(func(i int) int { return int(byte(ts.Plaintexts[i][byteIdx])) })
 	var scores [256]float64
 	b, r, _ := t.rank(scores[:], func(g, c int) float64 { return float64(bits.OnesCount8(aes.SBox[c^g])) })

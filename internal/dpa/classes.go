@@ -3,6 +3,7 @@ package dpa
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"desmask/internal/des"
 	"desmask/internal/leakstat"
@@ -51,71 +52,91 @@ type classTable struct {
 	rows  []float64 // row-major Z_c, one buffer reused across boxes
 	w     []float64 // one guess's centered prediction, per row
 	out   []float64 // one guess's statistic, per varying sample
+
+	// Backing storage kept across uses of a pooled table.
+	flat []float64    // segs, one row per trace
+	x, y leakstat.Vec // moments of x and, for CPA2, of y
 }
+
+// tables recycles class tables: an attack takes one from newClassTable and
+// hands it back with release after its last read, so attacks in steady
+// state allocate only their results.
+var tables sync.Pool // *classTable
 
 // newClassTable keeps the window's varying samples of every trace and
 // makes the guess-independent passes over them: mean and M2 of x, and for
 // CPA2 the Welford pass over y.
 func newClassTable(traces [][]float64, win trace.Window, classes int, stat Stat) *classTable {
-	t := &classTable{
-		stat:  stat,
-		keep:  varying(traces, win),
-		segs:  make([][]float64, len(traces)),
-		rowOf: make([]int, classes),
+	t, _ := tables.Get().(*classTable)
+	if t == nil {
+		t = new(classTable)
 	}
+	t.stat = stat
+	t.varying(traces, win)
 	n := len(t.keep)
-	t.rows = make([]float64, min(len(traces), classes)*n)
-	t.out = make([]float64, n)
-	x := leakstat.NewVec(n)
-	buf := make([]float64, len(traces)*n)
+	t.segs = zeroed(t.segs, len(traces))
+	t.rowOf = zeroed(t.rowOf, classes)
+	t.cls, t.cnt = t.cls[:0], t.cnt[:0]
+	t.rows = zeroed(t.rows, min(len(traces), classes)*n)
+	t.out = zeroed(t.out, n)
+	t.flat = zeroed(t.flat, len(traces)*n)
+	t.x = leakstat.Vec{Mean: zeroed(t.x.Mean, n), M2: zeroed(t.x.M2, n)}
 	for i, tr := range traces {
-		seg := buf[i*n : (i+1)*n]
+		seg := t.flat[i*n : (i+1)*n]
 		for k, j := range t.keep {
 			seg[k] = tr[win.Start+j]
 		}
 		t.segs[i] = seg
-		x.AddTrace(seg)
+		t.x.AddTrace(seg)
 	}
-	t.mean, t.m2 = x.Mean, x.M2
+	t.mean, t.m2, t.ymean = t.x.Mean, t.x.M2, nil
 	if stat == StatCPA2 {
-		y := leakstat.NewVec(n)
+		t.y = leakstat.Vec{Mean: zeroed(t.y.Mean, n), M2: zeroed(t.y.M2, n)}
 		for _, seg := range t.segs {
 			for j, v := range seg {
 				d := v - t.mean[j]
 				t.out[j] = d * d
 			}
-			y.AddTrace(t.out)
+			t.y.AddTrace(t.out)
 		}
-		t.ymean, t.m2 = y.Mean, y.M2
+		t.ymean, t.m2 = t.y.Mean, t.y.M2
 	}
 	return t
 }
 
-// varying returns the window offsets of the samples where some trace
-// differs from the first, or where the first is not finite (x - x is then
-// NaN, and the centered values with it).
-func varying(traces [][]float64, win trace.Window) []int {
-	vary := make([]bool, win.Len())
-	if len(traces) > 0 {
-		first := traces[0][win.Start:win.End]
-		for j, v := range first {
-			vary[j] = v-v != 0
+// release hands the table back for reuse. Neither the table nor any slice
+// it returned may be read afterwards.
+func (t *classTable) release() { tables.Put(t) }
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when it is large enough. Cleared to +0, a reused buffer is bit-identical
+// to a fresh one.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// varying sets t.keep to the window offsets of the samples where some
+// trace differs from the first, or where the first is not finite (x - x is
+// then NaN, and the centered values with it).
+func (t *classTable) varying(traces [][]float64, win trace.Window) {
+	t.keep = t.keep[:0]
+	if len(traces) == 0 {
+		return
+	}
+	for j, v := range traces[0][win.Start:win.End] {
+		i := 1
+		for i < len(traces) && traces[i][win.Start+j] == v {
+			i++
 		}
-		for _, tr := range traces[1:] {
-			for j, v := range tr[win.Start:win.End] {
-				if v != first[j] {
-					vary[j] = true
-				}
-			}
+		if i < len(traces) || v-v != 0 {
+			t.keep = append(t.keep, j)
 		}
 	}
-	var keep []int
-	for j, v := range vary {
-		if v {
-			keep = append(keep, j)
-		}
-	}
-	return keep
 }
 
 // fill regroups the table by class(i), the class of trace i, in one pass
@@ -266,9 +287,17 @@ func (t *classTable) attackBox(pts []uint64, box, bit int) BoxResult {
 	return r
 }
 
+// attackOne attacks S-box box alone, on a table of its own.
+func attackOne(ts *TraceSet, stat Stat, box, bit int) BoxResult {
+	t := desTable(ts, stat)
+	defer t.release()
+	return t.attackBox(ts.Plaintexts, box, bit)
+}
+
 // attackAll attacks all eight S-boxes over one class table.
 func attackAll(ts *TraceSet, stat Stat, bit int) [8]BoxResult {
 	t := desTable(ts, stat)
+	defer t.release()
 	var out [8]BoxResult
 	for box := range out {
 		out[box] = t.attackBox(ts.Plaintexts, box, bit)
@@ -277,15 +306,23 @@ func attackAll(ts *TraceSet, stat Stat, bit int) [8]BoxResult {
 }
 
 // guessTrace is the one-guess view of the core: guess's statistic for
-// S-box box at every sample of the window, with the table it was read from.
-// Every constant sample scores +0 (see the drop rule above).
-func guessTrace(ts *TraceSet, stat Stat, box, bit int, guess uint32) ([]float64, *classTable) {
+// S-box box at every sample of the window, and how many traces it predicts
+// the value 1 for (for DoM, the bit-1 partition). Every constant sample
+// scores +0 (see the drop rule above).
+func guessTrace(ts *TraceSet, stat Stat, box, bit int, guess uint32) (full []float64, n1 int) {
 	t := desTable(ts, stat)
+	defer t.release()
 	t.fillBox(ts.Plaintexts, box)
-	out, _ := t.guess(int(guess), predict(stat, box, bit))
-	full := make([]float64, ts.Window.Len())
+	h := predict(stat, box, bit)
+	out, _ := t.guess(int(guess), h)
+	full = make([]float64, ts.Window.Len())
 	for k, j := range t.keep {
 		full[j] = out[k]
 	}
-	return full, t
+	for k, c := range t.cls {
+		if h(int(guess), c) == 1 {
+			n1 += int(t.cnt[k])
+		}
+	}
+	return full, n1
 }

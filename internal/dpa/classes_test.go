@@ -130,20 +130,27 @@ func TestAESCPAMatchesOracle(t *testing.T) {
 }
 
 // TestFullKeyAttackAllocBudget: the class table keeps only the samples
-// that vary, so its rows and trace copy are the attack's only O(traces ×
-// varying samples) allocations. A 32-trace, 25k-sample CPA verdict on
-// unprotected DES (3,866 varying samples) allocates about 2.2 MB; the
-// full-width table took 7.0 MB, which this budget rejects.
+// that vary, and attacks recycle it, so in steady state a full-key attack
+// allocates its results and nothing of O(traces × samples). Once a warm-up
+// call has pooled a table, a 32-trace, 25k-sample CPA verdict on
+// unprotected DES (3,866 varying samples) allocates about 2 KB; building
+// the table afresh took 2.2 MB, which this budget rejects.
 func TestFullKeyAttackAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; CI runs this in a dedicated race-free step")
+	}
 	setup(t)
 	ts := prefix(unmaskedSet, 32)
 	ts.Window = trace.Window{Start: 0, End: 25_000}
+	FullKeyAttack(ts, StatCPA, 0, 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	FullKeyAttack(ts, StatCPA, 0, 0)
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 4 {
-		t.Errorf("FullKeyAttack(StatCPA) on 32 x 25k allocated %.1f MB, budget 4 MB", mb)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1e3
+	t.Logf("steady-state FullKeyAttack(StatCPA) on 32 x 25k: %.1f KB", kb)
+	if kb > 16 {
+		t.Errorf("FullKeyAttack(StatCPA) on 32 x 25k allocated %.1f KB in steady state, budget 16 KB", kb)
 	}
 }
 

@@ -23,7 +23,7 @@ func CorrelationTrace(ts *TraceSet, box int, guess uint32) []float64 {
 // CPAAttackSBox scores every 6-bit sub-key guess of one S-box by its peak
 // absolute correlation.
 func CPAAttackSBox(ts *TraceSet, box int) BoxResult {
-	return desTable(ts, StatCPA).attackBox(ts.Plaintexts, box, -1)
+	return attackOne(ts, StatCPA, box, -1)
 }
 
 // CPAAttackAll attacks all eight S-boxes with the correlation distinguisher.

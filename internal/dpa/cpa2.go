@@ -28,7 +28,7 @@ func CorrelationTrace2(ts *TraceSet, box int, guess uint32) []float64 {
 // CPA2AttackSBox scores every 6-bit sub-key guess of one S-box by its peak
 // absolute second-order correlation.
 func CPA2AttackSBox(ts *TraceSet, box int) BoxResult {
-	return desTable(ts, StatCPA2).attackBox(ts.Plaintexts, box, -2)
+	return attackOne(ts, StatCPA2, box, -2)
 }
 
 // CPA2AttackAll attacks all eight S-boxes with the second-order

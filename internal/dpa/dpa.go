@@ -33,8 +33,8 @@ type Config struct {
 	// Workers sizes the acquisition worker pool; <= 0 uses GOMAXPROCS.
 	// Collected trace sets are bit-identical for every worker count.
 	Workers int
-	// Gang is the lockstep gang width (sim.Options.GangWidth): acquisitions
-	// run in gang-scheduled lockstep runs of up to Gang lanes, 0 uses
+	// Gang is the lockstep gang width: acquisitions run in lockstep gangs
+	// of up to Gang lanes (sim.Runner.RunGangSampled), 0 uses
 	// leakstat.DefaultGang and 1 runs one lane at a time. Trace sets are
 	// bit-identical for any gang width; the knob only changes throughput.
 	Gang int
@@ -80,34 +80,70 @@ func Collect(m *desprog.Machine, key uint64, cfg Config) (*TraceSet, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plaintexts := make([]uint64, cfg.NumTraces)
+	jobs := make([]sim.Job, cfg.NumTraces)
 	for i := range plaintexts {
 		plaintexts[i] = rng.Uint64()
+		job, err := m.EncryptJobSeeded(key, plaintexts[i], sim.DeriveSeed(0, i), cfg.MaxCycles, false)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = job
 	}
-	if cfg.Gang == 0 {
-		cfg.Gang = leakstat.DefaultGang
-	}
-	results, err := m.EncryptBatch(key, plaintexts, cfg.MaxCycles, true, sim.Options{Workers: cfg.Workers, GangWidth: cfg.Gang})
+	ts, err := acquire(m.Runner(), jobs, 0, cfg.Workers, cfg.Gang)
 	if err != nil {
 		return nil, err
 	}
-	ts := &TraceSet{Plaintexts: plaintexts}
-	minLen := -1
-	for _, r := range results {
-		ts.Traces = append(ts.Traces, r.Trace.Totals)
-		ts.OrigLens = append(ts.OrigLens, r.Trace.Len())
-		if minLen < 0 || r.Trace.Len() < minLen {
-			minLen = r.Trace.Len()
-		}
+	ts.Plaintexts = plaintexts
+	return ts, nil
+}
+
+// acquire runs the jobs, which must be gang-shaped (no Trace, no Probe) and
+// share one budget, on the sampled gang path in consecutive gangs of gang
+// lanes (<= 0: leakstat.DefaultGang), which workers pull in order. Each
+// lane samples from cycle 0 straight into its row of one flat buffer that
+// the returned set keeps, bit-identical to one-lane trace capture. cut > 0
+// cuts every trace to its first cut cycles before alignment (see
+// TraceSet). A probe run of jobs[0], neither metered nor sampled, sizes the
+// rows: no aligned trace outlasts it, so a generous budget allocates no
+// samples that no run reaches.
+func acquire(r *sim.Runner, jobs []sim.Job, cut, workers, gang int) (*TraceSet, error) {
+	probe := r.RunGangSampled(jobs[:1], 0, 0, nil)[0]
+	if probe.Err != nil {
+		return nil, fmt.Errorf("dpa: trace 0: %w", probe.Err)
 	}
-	// Runs are cycle-aligned by construction; if they ever come back ragged,
-	// align to the shortest run and say so via Truncated (see TraceSet).
+	if cut <= 0 {
+		cut = math.MaxInt
+	}
+	row := min(int(probe.Stats.Cycles), cut)
+	if gang <= 0 {
+		gang = leakstat.DefaultGang
+	}
+	flat := make([]float64, len(jobs)*row)
+	ts := &TraceSet{Traces: make([][]float64, len(jobs)), OrigLens: make([]int, len(jobs))}
 	for i := range ts.Traces {
-		if len(ts.Traces[i]) > minLen {
-			ts.Traces[i] = ts.Traces[i][:minLen]
-			ts.Truncated = true
-		}
+		ts.Traces[i] = flat[i*row : (i+1)*row : (i+1)*row]
 	}
-	ts.Window = trace.Window{Start: 0, End: minLen}
+	err := sim.ForEach((len(jobs)+gang-1)/gang, workers, func(k int) error {
+		lo, hi := k*gang, min((k+1)*gang, len(jobs))
+		for i, res := range r.RunGangSampled(jobs[lo:hi], 0, uint64(row), ts.Traces[lo:hi]) {
+			if res.Err != nil {
+				return fmt.Errorf("dpa: trace %d: %w", lo+i, res.Err)
+			}
+			ts.OrigLens[lo+i] = int(res.Stats.Cycles)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	shortest, longest := row, 0
+	for _, l := range ts.OrigLens {
+		shortest, longest = min(shortest, l, cut), max(longest, min(l, cut))
+	}
+	for i := range ts.Traces {
+		ts.Traces[i] = ts.Traces[i][:shortest]
+	}
+	ts.Window, ts.Truncated = trace.Window{Start: 0, End: shortest}, longest > shortest
 	return ts, nil
 }
 
@@ -126,13 +162,7 @@ func DifferenceOfMeans(ts *TraceSet, box, bit int, guess uint32) []float64 {
 // is undefined and reported as all zeros rather than NaN/Inf). It is the
 // one-guess view of the class-table core (classes.go).
 func DifferenceOfMeansDetail(ts *TraceSet, box, bit int, guess uint32) (dom []float64, n1, n0 int) {
-	dom, t := guessTrace(ts, StatDoM, box, bit, guess)
-	h := predict(StatDoM, box, bit)
-	for k, c := range t.cls {
-		if h(int(guess), c) == 1 {
-			n1 += int(t.cnt[k])
-		}
-	}
+	dom, n1 = guessTrace(ts, StatDoM, box, bit, guess)
 	return dom, n1, ts.Len() - n1
 }
 
@@ -170,7 +200,7 @@ func (r BoxResult) Margin() float64 {
 // AttackSBox runs the difference-of-means attack on every 6-bit guess for
 // one S-box, scoring each guess by its peak |DoM|.
 func AttackSBox(ts *TraceSet, box, bit int) BoxResult {
-	return desTable(ts, StatDoM).attackBox(ts.Plaintexts, box, bit)
+	return attackOne(ts, StatDoM, box, bit)
 }
 
 // AttackAll attacks all eight S-boxes using output bit `bit`.

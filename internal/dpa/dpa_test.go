@@ -1,7 +1,11 @@
 package dpa
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -480,21 +484,21 @@ func TestCollectRecordsLengths(t *testing.T) {
 }
 
 // requireSameSet fails unless two trace sets hold the same plaintexts,
-// trace bits, original lengths, truncation flag and window.
+// trace bits, run lengths, truncation flag and window, and no trace keeps
+// room beyond its run.
 func requireSameSet(t *testing.T, what string, got, want *TraceSet) {
 	t.Helper()
-	if got.Len() != want.Len() || got.Truncated != want.Truncated || got.Window != want.Window {
-		t.Fatalf("%s: %d traces truncated=%v window %v, want %d truncated=%v window %v",
+	if got.Len() != want.Len() || got.Truncated != want.Truncated || got.Window != want.Window ||
+		!slices.Equal(got.Plaintexts, want.Plaintexts) {
+		t.Fatalf("%s: %d traces truncated=%v window %v, want %d truncated=%v window %v (or the plaintexts differ)",
 			what, got.Len(), got.Truncated, got.Window, want.Len(), want.Truncated, want.Window)
 	}
-	for i := range want.Traces {
-		if got.Plaintexts[i] != want.Plaintexts[i] || got.OrigLens[i] != want.OrigLens[i] ||
-			len(got.Traces[i]) != len(want.Traces[i]) {
-			t.Fatalf("%s trace %d: plaintext %X length %d/%d, want %X %d/%d", what, i,
-				got.Plaintexts[i], len(got.Traces[i]), got.OrigLens[i],
-				want.Plaintexts[i], len(want.Traces[i]), want.OrigLens[i])
+	for i, tr := range want.Traces {
+		if got.OrigLens[i] != want.OrigLens[i] || len(got.Traces[i]) != len(tr) || cap(got.Traces[i]) > got.OrigLens[i] {
+			t.Fatalf("%s trace %d: length %d (room %d) of a %d-cycle run, want %d of %d", what, i,
+				len(got.Traces[i]), cap(got.Traces[i]), got.OrigLens[i], len(tr), want.OrigLens[i])
 		}
-		for j, v := range want.Traces[i] {
+		for j, v := range tr {
 			if math.Float64bits(got.Traces[i][j]) != math.Float64bits(v) {
 				t.Fatalf("%s trace %d sample %d: %v, want %v", what, i, j, got.Traces[i][j], v)
 			}
@@ -502,11 +506,71 @@ func requireSameSet(t *testing.T, what string, got, want *TraceSet) {
 	}
 }
 
-// TestCollectGangBitIdentity: gang-scheduled acquisition is a pure
-// throughput knob. The default gang (0, leakstat.DefaultGang lanes), gangs
-// of 8, and gangs of 4 across 3 workers collect the one-lane trace set bit
-// for bit on every policy and both ISAs, and the default really runs lanes
-// in lockstep. 20 traces leave a partial gang at widths 16 and 8.
+// aesSet views an AES trace set's acquisition as a TraceSet, for
+// requireSameSet.
+func aesSet(ts *AESTraceSet) *TraceSet {
+	return &TraceSet{Traces: ts.Traces, Window: ts.Window, OrigLens: ts.OrigLens, Truncated: ts.Truncated}
+}
+
+// oneLane is the reference acquisition: every job runs alone through
+// Runner.Run with full trace capture, each trace is cut to its first cut
+// cycles (cut > 0), and all are aligned to the shortest, as TraceSet
+// documents.
+func oneLane(t *testing.T, r *sim.Runner, jobs []sim.Job, cut int) *TraceSet {
+	t.Helper()
+	ts := &TraceSet{}
+	shortest := -1
+	for i, job := range jobs {
+		res := r.Run(job)
+		if res.Err != nil || res.Trace == nil {
+			t.Fatalf("one-lane trace %d: %v, captured %v", i, res.Err, res.Trace != nil)
+		}
+		tr := res.Trace.Totals
+		ts.OrigLens = append(ts.OrigLens, len(tr))
+		if cut > 0 && len(tr) > cut {
+			tr = tr[:cut]
+		}
+		ts.Traces = append(ts.Traces, tr)
+		if shortest < 0 || len(tr) < shortest {
+			shortest = len(tr)
+		}
+	}
+	for i, tr := range ts.Traces {
+		if len(tr) > shortest {
+			ts.Traces[i] = tr[:shortest]
+			ts.Truncated = true
+		}
+	}
+	ts.Window = trace.Window{Start: 0, End: shortest}
+	return ts
+}
+
+// desOneLane is the one-lane reference for Collect(m, key, cfg): the same
+// plaintexts and mask seeds, with full trace capture.
+func desOneLane(t *testing.T, m *desprog.Machine, key uint64, cfg Config) *TraceSet {
+	t.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pts := make([]uint64, cfg.NumTraces)
+	jobs := make([]sim.Job, cfg.NumTraces)
+	for i := range jobs {
+		pts[i] = rng.Uint64()
+		job, err := m.EncryptJobSeeded(key, pts[i], sim.DeriveSeed(0, i), cfg.MaxCycles, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+	}
+	ts := oneLane(t, m.Runner(), jobs, 0)
+	ts.Plaintexts = pts
+	return ts
+}
+
+// TestCollectGangBitIdentity: Collect acquires on the sampled gang path,
+// and every trace set is the one-lane trace-capture reference bit for bit
+// on every policy and both ISAs, at gangs of 1, 4 and 16 lanes (and the
+// default) on one worker and on three, and the wide gangs really run lanes
+// in lockstep. 20 traces leave a partial gang at widths 4 and 16. A budget
+// past the program's halt sizes each row by the run, not by the budget.
 func TestCollectGangBitIdentity(t *testing.T) {
 	builds := []struct {
 		name string
@@ -530,61 +594,150 @@ func TestCollectGangBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				collect := func(workers, gang int) *TraceSet {
-					t.Helper()
-					ts, err := Collect(m, attackKey, Config{NumTraces: 20, Seed: 3, MaxCycles: 25_000, Workers: workers, Gang: gang})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return ts
-				}
-				ref := collect(2, 1)
+				cfg := Config{NumTraces: 20, Seed: 3, MaxCycles: 25_000}
+				ref := desOneLane(t, m, attackKey, cfg)
 				runs := m.Runner().GangRuns()
-				requireSameSet(t, "default gang", collect(2, 0), ref)
-				if m.Runner().GangRuns() == runs {
-					t.Error("the default gang ran no lane in lockstep")
+				for _, workers := range []int{1, 3} {
+					for _, gang := range []int{1, 4, 16, 0} {
+						cfg.Workers, cfg.Gang = workers, gang
+						ts, err := Collect(m, attackKey, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameSet(t, fmt.Sprintf("gang %d, %d workers", gang, workers), ts, ref)
+					}
 				}
-				requireSameSet(t, "gang 8", collect(2, 8), ref)
-				requireSameSet(t, "gang 4, 3 workers", collect(3, 4), ref)
+				if m.Runner().GangRuns() == runs {
+					t.Error("no lane ran in lockstep")
+				}
 			})
 		}
 	}
+	t.Run("past-halt", func(t *testing.T) {
+		m, err := desprog.New(compiler.PolicyNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{NumTraces: 3, Seed: 3, MaxCycles: 4_000_000}
+		ref := desOneLane(t, m, attackKey, cfg)
+		if ref.OrigLens[0] >= int(cfg.MaxCycles) {
+			t.Fatalf("reference ran %d cycles; the budget must lie past the halt", ref.OrigLens[0])
+		}
+		ts, err := Collect(m, attackKey, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSet(t, "past halt", ts, ref)
+	})
 }
 
-// TestCollectAESGangMatchesOneLane: CollectAES runs its kernels in gangs,
-// and every trace is the one-lane run's trace, cut to the set's length.
-func TestCollectAESGangMatchesOneLane(t *testing.T) {
-	m, err := kernels.BuildSimple(kernels.AES128(), compiler.PolicyNone)
-	if err != nil {
-		t.Fatal(err)
+// aesJobs builds CollectAES's jobs for n traces from seed: its plaintexts
+// and mask seeds, with or without trace capture.
+func aesJobs(t *testing.T, m *kernels.Machine, key []uint32, n int, seed int64, capture bool) []sim.Job {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]sim.Job, n)
+	for i := range jobs {
+		pt := make([]uint32, 16)
+		for j := range pt {
+			pt[j] = uint32(rng.Intn(256))
+		}
+		job, err := m.JobSeeded(key, pt, sim.DeriveSeed(0, i), capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
 	}
+	return jobs
+}
+
+// TestCollectAESGangMatchesOneLane: CollectAES acquires on the sampled gang
+// path, and every trace is the one-lane trace-capture run, cut to the set's
+// length, on both ISAs. The acquisition core matches at gangs of 1, 4 and
+// 16 lanes on one worker and on three, and without a cut, where each row
+// holds exactly its run.
+func TestCollectAESGangMatchesOneLane(t *testing.T) {
 	key := make([]uint32, 16)
 	for i := range key {
 		key[i] = uint32((i*37 + 11) & 0xff)
 	}
-	ts, err := CollectAES(m, key, 20, 7, 12_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Runner().GangRuns() == 0 {
-		t.Error("CollectAES ran no lane in lockstep")
-	}
-	if ts.Truncated || ts.Window != (trace.Window{Start: 0, End: 12_000}) {
-		t.Fatalf("truncated=%v window %v, want false [0,12000)", ts.Truncated, ts.Window)
-	}
-	ref, err := m.RunBatch(key, ts.Plaintexts, true, sim.Options{GangWidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ref {
-		want := r.Trace.Totals
-		if ts.OrigLens[i] != len(want) || len(ts.Traces[i]) != 12_000 {
-			t.Fatalf("trace %d: length %d of %d, one lane ran %d", i, len(ts.Traces[i]), ts.OrigLens[i], len(want))
-		}
-		for j, v := range ts.Traces[i] {
-			if math.Float64bits(v) != math.Float64bits(want[j]) {
-				t.Fatalf("trace %d sample %d: %v, one lane %v", i, j, v, want[j])
+	const n, seed = 20, 7
+	for _, isaName := range []string{"pisa", "rv32"} {
+		t.Run(isaName, func(t *testing.T) {
+			target, ok := isa.TargetByName(isaName)
+			if !ok {
+				t.Fatalf("unknown target %q", isaName)
 			}
+			m, err := kernels.Build(kernels.AES128(), compiler.Options{Policy: compiler.PolicyNone, Target: target}, energy.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := oneLane(t, m.Runner(), aesJobs(t, m, key, n, seed, true), 12_000)
+			ts, err := CollectAES(m, key, n, seed, 12_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Runner().GangRuns() == 0 {
+				t.Error("CollectAES ran no lane in lockstep")
+			}
+			if ts.Truncated || ts.Window != (trace.Window{Start: 0, End: 12_000}) {
+				t.Fatalf("truncated=%v window %v, want false [0,12000)", ts.Truncated, ts.Window)
+			}
+			requireSameSet(t, "CollectAES", aesSet(ts), ref)
+			jobs := aesJobs(t, m, key, n, seed, false)
+			for _, workers := range []int{1, 3} {
+				for _, gang := range []int{1, 4, 16} {
+					got, err := acquire(m.Runner(), jobs, 12_000, workers, gang)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameSet(t, fmt.Sprintf("gang %d, %d workers", gang, workers), got, ref)
+				}
+			}
+			ts, err = CollectAES(m, key, 4, seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameSet(t, "to halt", aesSet(ts), oneLane(t, m.Runner(), aesJobs(t, m, key, 4, seed, true), 0))
+		})
+	}
+}
+
+// TestCollectAllocBudget: acquisition writes every lane straight into the
+// trace set's one flat buffer, so a Collect call allocates the traces it
+// returns plus at most 5 %, in the mean over four calls after a warm-up.
+// Capturing full traces and copying them out took about twice that. (A GC
+// can empty the runner's worker pool, and the miss that follows rebuilds a
+// gang engine, about 0.2 MB here.)
+func TestCollectAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; CI runs this in a dedicated race-free step")
+	}
+	m, err := desprog.New(compiler.PolicyNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NumTraces: 32, Seed: 9, MaxCycles: 25_000, Workers: 1}
+	ts, err := Collect(m, attackKey, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceBytes := 0
+	for _, tr := range ts.Traces {
+		traceBytes += 8 * cap(tr)
+	}
+	const calls = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := Collect(m, attackKey, cfg); err != nil {
+			t.Fatal(err)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("Collect of 32 x 25k allocated %d bytes per call for %d bytes of traces", got, traceBytes)
+	if limit := uint64(traceBytes) * 105 / 100; got > limit {
+		t.Errorf("Collect of 32 x 25k allocated %d bytes per call, budget %d (traces %d + 5%%)", got, limit, traceBytes)
 	}
 }

@@ -205,3 +205,10 @@ func fullAESCPAByte(ts *AESTraceSet, byteIdx int) (best, runnerUp uint32, bestPe
 	b, r, _ := t.rank(scores[:], func(g, c int) float64 { return float64(bits.OnesCount8(aes.SBox[c^g])) })
 	return b.Guess, r.Guess, b.Peak, r.Peak
 }
+
+// varying returns the window offsets the compact table keeps.
+func varying(traces [][]float64, win trace.Window) []int {
+	var t classTable
+	t.varying(traces, win)
+	return t.keep
+}

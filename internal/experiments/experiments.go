@@ -127,7 +127,7 @@ func diffRuns(r *sim.Runner, a, b sim.Job, sel func(*trace.Trace) (trace.Window,
 }
 
 // DESDifferential runs the encryptions of (k1, p1) and (k2, p2) on m as one
-// batch, with the mask seeds TraceBatchSeeded draws from base seed 0, and
+// batch, trace i under the mask seed sim.DeriveSeed(0, i), and
 // summarises their differential over the window sel locates on the first
 // run's trace. The window is flat when no cycle in it differs beyond
 // numerical noise.

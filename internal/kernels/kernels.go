@@ -106,20 +106,6 @@ func (m *Machine) Run(secret, public []uint32) ([]uint32, sim.Stats, error) {
 	return m.output(m.Runner().Run(job))
 }
 
-// RunBatch executes one kernel run per public input under the same secret
-// across the session's worker pool, returning results in input order.
-func (m *Machine) RunBatch(secret []uint32, publics [][]uint32, capture bool, opts sim.Options) ([]sim.Result, error) {
-	jobs := make([]sim.Job, len(publics))
-	for i, pub := range publics {
-		job, err := m.JobSeeded(secret, pub, sim.DeriveSeed(0, i), capture)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = job
-	}
-	return m.Runner().RunBatch(jobs, opts)
-}
-
 // Trace runs the kernel capturing the full per-cycle energy trace.
 func (m *Machine) Trace(secret, public []uint32) ([]uint32, *trace.Trace, error) {
 	job, err := m.Job(secret, public, true)

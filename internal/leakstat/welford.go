@@ -164,16 +164,35 @@ func (v *Vec) Set(j int, x float64) {
 }
 
 // AddTrace absorbs one whole materialized trace (the batch-analysis path
-// used by the dpa attacks; the TVLA engine streams via BeginTrace/Set). It
-// performs exactly the BeginTrace + per-sample Set sequence, so gang-lane
-// folds stay bit-identical to the streaming probe.
+// of the gang shard fold and the dpa attacks). It performs exactly the
+// BeginTrace + per-sample Set sequence, so folds stay bit-identical to the
+// streaming path, with the per-trace constants of the moment updates
+// computed once per trace instead of once per sample.
 func (v *Vec) AddTrace(seg []float64) {
 	if len(seg) != len(v.Mean) {
 		panic(fmt.Sprintf("leakstat: trace of %d samples into a %d-sample accumulator", len(seg), len(v.Mean)))
 	}
 	v.BeginTrace()
+	inv, mean, m2 := v.inv, v.Mean[:len(seg)], v.M2[:len(seg)]
+	if v.M3 == nil {
+		for j, x := range seg {
+			d := x - mean[j]
+			mean[j] += d * inv
+			m2[j] += d * (x - mean[j])
+		}
+		return
+	}
+	n := float64(v.n)
+	c4, c3 := n*n-3*n+3, n-2
+	m3, m4 := v.M3[:len(seg)], v.M4[:len(seg)]
 	for j, x := range seg {
-		v.Set(j, x)
+		d := x - mean[j]
+		dn := d * inv
+		mean[j] += dn
+		t1 := d * (x - mean[j])
+		m4[j] += t1*dn*dn*c4 + 6*dn*dn*m2[j] - 4*dn*m3[j]
+		m3[j] += t1*dn*c3 - 3*dn*m2[j]
+		m2[j] += t1
 	}
 }
 

@@ -3,6 +3,7 @@ package leakstat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,22 +180,26 @@ func TestVecFixedFoldBitIdentical(t *testing.T) {
 }
 
 // TestVecStreamingMatchesAddTrace: BeginTrace/Set streaming equals AddTrace
-// bit-for-bit (same op sequence).
+// bit-for-bit (same op sequence) at orders 1 and 2, with constant columns
+// (3 and 7) mixed in among the varying ones.
 func TestVecStreamingMatchesAddTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a, b := NewVec(11), NewVec(11)
-	for i := 0; i < 25; i++ {
-		tr := randomData(rng, 11)
-		a.AddTrace(tr)
-		b.BeginTrace()
-		for j, x := range tr {
-			b.Set(j, x)
+	for _, order := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(4))
+		a, b := NewVecOrder(11, order), NewVecOrder(11, order)
+		for i := 0; i < 25; i++ {
+			tr := randomData(rng, 11)
+			tr[3], tr[7] = 4017.25, 0
+			a.AddTrace(tr)
+			b.BeginTrace()
+			for j, x := range tr {
+				b.Set(j, x)
+			}
 		}
-	}
-	for j := 0; j < 11; j++ {
-		if math.Float64bits(a.Mean[j]) != math.Float64bits(b.Mean[j]) ||
-			math.Float64bits(a.M2[j]) != math.Float64bits(b.M2[j]) {
-			t.Fatalf("sample %d: streaming path diverged from AddTrace", j)
+		same := func(x, y []float64) bool {
+			return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+		}
+		if !same(a.Mean, b.Mean) || !same(a.M2, b.M2) || !same(a.M3, b.M3) || !same(a.M4, b.M4) {
+			t.Fatalf("order %d: streaming path diverged from AddTrace", order)
 		}
 	}
 }

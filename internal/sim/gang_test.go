@@ -108,7 +108,7 @@ func TestGangBatchMatchesGolden(t *testing.T) {
 					plaintexts[i] = goldenPlaintext
 				}
 				before := m.Runner().GangRuns()
-				results, err := m.EncryptBatch(goldenKey, plaintexts, 0, true, sim.Options{Workers: w, GangWidth: g})
+				results, err := encryptBatch(t, m, goldenKey, plaintexts, sim.Options{Workers: w, GangWidth: g})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,11 +154,11 @@ func TestGangScalarIdentityAcrossISAs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalar, err := m.EncryptBatch(goldenKey, plaintexts, 0, true, sim.Options{Workers: 1})
+				scalar, err := encryptBatch(t, m, goldenKey, plaintexts, sim.Options{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ganged, err := m.EncryptBatch(goldenKey, plaintexts, 0, true, sim.Options{Workers: 4, GangWidth: 4})
+				ganged, err := encryptBatch(t, m, goldenKey, plaintexts, sim.Options{Workers: 4, GangWidth: 4})
 				if err != nil {
 					t.Fatal(err)
 				}

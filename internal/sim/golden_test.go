@@ -251,6 +251,21 @@ func line(v []string, i int) string {
 	return "<missing>"
 }
 
+// encryptBatch encrypts every plaintext under key in one batch with full
+// trace capture, trace i under the mask seed sim.DeriveSeed(0, i).
+func encryptBatch(t *testing.T, m *desprog.Machine, key uint64, plaintexts []uint64, opts sim.Options) ([]sim.Result, error) {
+	t.Helper()
+	jobs := make([]sim.Job, len(plaintexts))
+	for i, pt := range plaintexts {
+		job, err := m.EncryptJobSeeded(key, pt, sim.DeriveSeed(0, i), 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+	}
+	return m.Runner().RunBatch(jobs, opts)
+}
+
 // goldenEntry loads one (workload, policy) cell of the golden manifest, if
 // the manifest exists.
 func goldenEntry(t *testing.T, workload, policy string) (cosimEntry, bool) {
@@ -288,7 +303,7 @@ func TestGoldenBatchMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := m.EncryptBatch(goldenKey, []uint64{goldenPlaintext, goldenPlaintext}, 0, true, sim.Options{Workers: 2})
+	results, err := encryptBatch(t, m, goldenKey, []uint64{goldenPlaintext, goldenPlaintext}, sim.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,23 +125,6 @@ func (w Window) Clamp(n int) Window {
 	return w
 }
 
-// Slice returns the energy samples of a window.
-func (t *Trace) Slice(w Window) []float64 {
-	if w.Start < 0 || w.End > len(t.Totals) || w.Start > w.End {
-		return nil
-	}
-	return t.Totals[w.Start:w.End]
-}
-
-// TotalPJ returns the sum of all samples.
-func TotalPJ(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	return sum
-}
-
 // WriteCSV writes aligned columns as CSV with the given headers. Columns may
 // have different lengths; missing cells are left empty.
 func WriteCSV(w io.Writer, headers []string, cols ...[]float64) error {

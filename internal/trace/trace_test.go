@@ -58,24 +58,9 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := Trace{Totals: []float64{1, 2, 3, 4, 5, 6}}
-	w := Window{1, 5}
-	if w.Len() != 4 {
-		t.Errorf("len = %d", w.Len())
-	}
-	got := tr.Slice(w)
-	if len(got) != 4 || got[0] != 2 || got[3] != 5 {
-		t.Errorf("slice = %v", got)
-	}
-	if tr.Slice(Window{-1, 2}) != nil || tr.Slice(Window{4, 2}) != nil {
-		t.Error("invalid windows should slice to nil")
-	}
-}
-
-func TestTotalPJ(t *testing.T) {
-	if got := TotalPJ([]float64{1.5, 2.5, -1}); got != 3 {
-		t.Errorf("TotalPJ = %g", got)
+func TestWindowLen(t *testing.T) {
+	if n := (Window{1, 5}).Len(); n != 4 {
+		t.Errorf("len = %d", n)
 	}
 }
 
